@@ -1,5 +1,5 @@
 // Memory-efficiency benchmark (DESIGN.md §11): the fleet-scale cost axes
-// the latency benches don't see. Four sections:
+// the latency benches don't see. Five sections:
 //
 //   1. Steady-state allocations/request on the serving path, arena scratch
 //      on vs off, with bit-identical predictions either way.
@@ -9,6 +9,8 @@
 //      fixed-width layout, for a text pipeline (toxic) and a tables+GBDT
 //      pipeline (music).
 //   4. Cold-start: pipeline_from_bytes latency on v4 vs v3 artifacts.
+//   5. Live heap of a Server after 1x vs 10x completions: the per-model
+//      latency stats are bounded, so serving memory stays flat.
 //
 // Heap accounting replaces the global operator new/delete with counting
 // wrappers (glibc malloc_usable_size gives the live-byte delta without a
@@ -40,6 +42,7 @@
 #include "kernels/dispatch.hpp"
 #include "serialize/artifact.hpp"
 #include "serialize/intern.hpp"
+#include "serving/server.hpp"
 
 // --- counting heap hooks ---------------------------------------------------
 // Replacing the plain forms is sufficient: libstdc++'s default operator
@@ -328,6 +331,53 @@ void bench_artifact(const workloads::Workload& wl,
   if (v4_out != nullptr) *v4_out = v4;
 }
 
+/// Section 5: serving-stats memory stays flat with traffic. Single-row music
+/// requests run inline through a synchronous Server (num_workers = 0), and
+/// the live heap is read after 1x and 10x completions: per-model latency
+/// accounting is a constant-size histogram, so nothing the engine keeps may
+/// grow per request.
+void bench_server_stats_memory(const workloads::Workload& wl,
+                               const core::OptimizedPipeline& p) {
+  std::printf("\n-- %s: Server live heap vs completions (latency stats) --\n",
+              wl.name.c_str());
+  const std::size_t base = smoke() ? 2000 : 50000;
+  const std::size_t n_rows = std::min<std::size_t>(wl.test.inputs.num_rows(), 256);
+  std::vector<data::Batch> rows;
+  rows.reserve(n_rows);
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    const std::size_t idx[] = {i};
+    rows.push_back(wl.test.inputs.select_rows(idx));
+  }
+
+  serving::ServerConfig cfg;
+  cfg.num_workers = 0;
+  serving::Server server(&p, cfg);
+  std::size_t next = 0;
+  const auto serve = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      (void)server.submit(rows[next++ % n_rows]).get();
+    }
+  };
+
+  serve(n_rows);  // warmup: every distinct row once, scratch at steady state
+  serve(base - n_rows);
+  const std::int64_t live_1x = live_now();
+  serve(9 * base);
+  const std::int64_t growth = live_now() - live_1x;
+  const std::size_t completions = server.stats().latency_samples;
+
+  TablePrinter table({"requests 1x", "10x", "growth KiB", "B/request"});
+  table.print_header();
+  table.print_row({std::to_string(base), std::to_string(completions),
+                   fmt("%.1f", static_cast<double>(growth) / 1024.0),
+                   fmt("%.3f", static_cast<double>(growth) /
+                                   static_cast<double>(9 * base))});
+
+  check_trend(completions == 10 * base, "every request recorded one latency");
+  check_trend(growth <= 64 * 1024,
+              "Server live heap grows <= 64 KiB from 1x to 10x completions");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -358,6 +408,8 @@ int main(int argc, char** argv) {
   bench_artifact(wl_toxic, toxic, /*max_ratio=*/0.70);
 
   bench_replicas(music_v4);
+
+  bench_server_stats_memory(wl_music, music);
 
   if (trend() && failures > 0) {
     std::printf("\n%d trend assertion(s) FAILED\n", failures);

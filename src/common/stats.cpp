@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace willump::common {
@@ -69,6 +70,80 @@ Summary summarize(std::vector<double> samples) {
   s.max = *std::max_element(samples.begin(), samples.end());
   s.median = percentile(samples, 50.0);
   s.p99 = percentile(std::move(samples), 99.0);
+  return s;
+}
+
+std::size_t LatencyHistogram::bucket_of(std::uint64_t ns) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << kRangeBits;
+  if (ns >= kTop) return kBuckets - 1;
+  // Values with bit_width <= 7 index their own unit bucket; above that the
+  // top 7 bits (a sub-bucket in [64, 128)) select within the octave.
+  const int shift =
+      std::max(0, static_cast<int>(std::bit_width(ns)) - (kSubBucketBits + 1));
+  return (static_cast<std::size_t>(shift) << kSubBucketBits) +
+         static_cast<std::size_t>(ns >> shift);
+}
+
+namespace {
+
+/// Midpoint of bucket `i`, in nanoseconds.
+double bucket_mid_ns(std::size_t i) {
+  constexpr int kBits = LatencyHistogram::kSubBucketBits;
+  if (i < (std::size_t{2} << kBits)) return static_cast<double>(i) + 0.5;
+  // Inverse of bucket_of: sub-bucket `sub` of the octave scaled by 2^shift.
+  const int shift = static_cast<int>(i >> kBits) - 1;
+  const auto sub = static_cast<double>(i - (static_cast<std::size_t>(shift) << kBits));
+  return std::ldexp(sub + 0.5, shift);
+}
+
+}  // namespace
+
+void LatencyHistogram::record(double seconds) {
+  const double s = seconds > 0.0 ? seconds : 0.0;  // also maps NaN to 0
+  // Saturate before the integer conversion (also catches +inf).
+  constexpr auto kTop = static_cast<double>(std::uint64_t{1} << kRangeBits);
+  ++buckets_[bucket_of(static_cast<std::uint64_t>(std::min(s * 1e9, kTop)))];
+  if (count_ == 0 || s < min_) min_ = s;
+  if (count_ == 0 || s > max_) max_ = s;
+  sum_ += s;
+  ++count_;
+}
+
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  if (other.count_ == 0) return;
+  for (std::size_t i = 0; i < kBuckets; ++i) buckets_[i] += other.buckets_[i];
+  min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+  max_ = count_ == 0 ? other.max_ : std::max(max_, other.max_);
+  sum_ += other.sum_;
+  count_ += other.count_;
+}
+
+double LatencyHistogram::percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  // Nearest rank (1-based): the smallest rank covering p percent of samples.
+  const double want = std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 *
+                                static_cast<double>(count_));
+  const auto rank = static_cast<std::uint64_t>(want);
+  // The extreme ranks are known exactly.
+  if (rank <= 1) return min_;
+  if (rank >= count_) return max_;
+  std::uint64_t seen = 0;
+  std::size_t i = 0;
+  for (; i + 1 < kBuckets; ++i) {
+    seen += buckets_[i];
+    if (seen >= rank) break;
+  }
+  return std::clamp(bucket_mid_ns(i) * 1e-9, min_, max_);
+}
+
+Summary LatencyHistogram::summary() const {
+  Summary s;
+  if (count_ == 0) return s;
+  s.mean = mean();
+  s.min = min_;
+  s.max = max_;
+  s.median = percentile(50.0);
+  s.p99 = percentile(99.0);
   return s;
 }
 

@@ -108,7 +108,7 @@ struct LoadSnapshot {
 
 /// Online per-model latency/queue model: EWMA service-time and
 /// arrival-rate estimators (fed from the same observations that populate
-/// ModelStats/LatencyRecorder) turned into deadline-attainment predictions.
+/// ModelStats' latency histogram) turned into deadline-attainment predictions.
 ///
 /// The queueing model is deliberately simple — the statistical-modeling
 /// approach for inference serving (Ray et al.; see PAPERS.md), not a full

@@ -269,9 +269,6 @@ RouterStats Router::stats() const {
   out.forwarded_errors = forwarded_errors_.load(std::memory_order_relaxed);
   out.forwarded_rejections =
       forwarded_rejections_.load(std::memory_order_relaxed);
-  // Per-shard latency distributions stay per-shard (Summary objects do not
-  // merge); out.serving.latency is left zeroed — read shard(i).stats() for
-  // distribution detail.
   for (const auto& s : shards_) {
     const ServerStats ss = s->stats();
     out.models += ss.models;
@@ -291,8 +288,10 @@ RouterStats Router::stats() const {
     out.serving.scale_downs += ss.scale_downs;
     out.serving.draining += ss.draining;
     out.serving.inference_seconds += ss.inference_seconds;
-    out.serving.latency_samples += ss.latency_samples;
+    out.serving.latency_histogram.merge(ss.latency_histogram);
   }
+  out.serving.latency = out.serving.latency_histogram.summary();
+  out.serving.latency_samples = out.serving.latency_histogram.count();
   return out;
 }
 

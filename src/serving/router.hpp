@@ -46,7 +46,8 @@ struct RouterStats {
   /// execution failures. Future-path rejections travel inside the future
   /// and are counted by the shard's own ModelStats, not here.
   std::size_t forwarded_rejections = 0;
-  /// Sum of the shards' aggregate ServerStats.
+  /// Sum of the shards' aggregate ServerStats; `serving.latency` summarizes
+  /// the shards' merged latency histograms (the fleet distribution).
   ServerStats serving;
 };
 

@@ -1060,29 +1060,33 @@ ModelStats Server::stats(std::string_view model) const {
   // everywhere (add_replica nests them that way).
   s.replicas = m.live_replicas.load(std::memory_order_acquire);
   s.draining = m.draining_count();
-  std::lock_guard<std::mutex> lock(m.stats_mu);
-  s.model = m.name;
-  s.queries = m.queries;
-  s.cache_hits = m.cache_hits;
-  s.batches = m.batches;
-  s.rows = m.rows;
-  s.largest_batch = m.largest_batch;
-  s.stolen_batches = m.stolen_batches;
-  s.deadline_hits = m.deadline_hits;
-  s.completions = m.completions;
-  s.expired = m.expired;
-  s.shed_queue_full = m.shed_queue_full;
-  s.shed_best_effort = m.shed_best_effort;
-  s.shed_predicted_miss = m.shed_predicted_miss;
-  s.inference_seconds = m.inference_seconds;
-  s.latency = m.latencies.summary();
-  s.latency_samples = m.latencies.count();
   s.current_max_batch = aimd.current_max_batch;
   s.aimd_increases = aimd.increases;
   s.aimd_backoffs = aimd.backoffs;
-  s.replica_rows = m.replica_rows;
-  s.scale_ups = m.scale_ups;
-  s.scale_downs = m.scale_downs;
+  common::LatencyHistogram latencies;
+  {
+    std::lock_guard<std::mutex> lock(m.stats_mu);
+    s.model = m.name;
+    s.queries = m.queries;
+    s.cache_hits = m.cache_hits;
+    s.batches = m.batches;
+    s.rows = m.rows;
+    s.largest_batch = m.largest_batch;
+    s.stolen_batches = m.stolen_batches;
+    s.deadline_hits = m.deadline_hits;
+    s.completions = m.completions;
+    s.expired = m.expired;
+    s.shed_queue_full = m.shed_queue_full;
+    s.shed_best_effort = m.shed_best_effort;
+    s.shed_predicted_miss = m.shed_predicted_miss;
+    s.inference_seconds = m.inference_seconds;
+    latencies = m.latencies;  // summarized outside the lock
+    s.replica_rows = m.replica_rows;
+    s.scale_ups = m.scale_ups;
+    s.scale_downs = m.scale_downs;
+  }
+  s.latency = latencies.summary();
+  s.latency_samples = latencies.count();
   return s;
 }
 
@@ -1093,7 +1097,6 @@ ServerStats Server::stats() const {
   if (!started_.load(std::memory_order_acquire)) registry_lock.lock();
 
   ServerStats s;
-  common::LatencyRecorder merged;
   s.models = models_.size();
   for (const auto& m : models_) {
     s.draining += m->draining_count();  // group_mu before stats_mu
@@ -1111,10 +1114,10 @@ ServerStats Server::stats() const {
     s.scale_ups += m->scale_ups;
     s.scale_downs += m->scale_downs;
     s.inference_seconds += m->inference_seconds;
-    merged.merge(m->latencies);
+    s.latency_histogram.merge(m->latencies);  // O(buckets), not O(requests)
   }
-  s.latency = merged.summary();
-  s.latency_samples = merged.count();
+  s.latency = s.latency_histogram.summary();
+  s.latency_samples = s.latency_histogram.count();
   return s;
 }
 

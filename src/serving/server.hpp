@@ -141,7 +141,10 @@ struct ModelStats {
   std::size_t largest_batch = 0; // biggest single pipeline execution
   std::size_t stolen_batches = 0;  // batches executed by a non-home worker
   double inference_seconds = 0.0;
-  common::Summary latency;       // submit()-to-completion seconds per query
+  /// submit()-to-completion seconds per query, summarized from the model's
+  /// common::LatencyHistogram: mean/min/max are exact, median/p99 are
+  /// bucket estimates within 1/64 of the value.
+  common::Summary latency;
   std::size_t latency_samples = 0;
   /// Queries completed within the model's SLO-class deadline (of those
   /// with a recorded latency; cache hits count as within-deadline).
@@ -210,6 +213,10 @@ struct ServerStats {
   std::size_t largest_batch = 0;
   std::size_t stolen_batches = 0;
   double inference_seconds = 0.0;
+  /// Every model's latencies merged into one histogram, and its summary
+  /// (exact mean/min/max, median/p99 within 1/64; see ModelStats::latency).
+  /// The histogram merges again across shards (Router::stats()).
+  common::LatencyHistogram latency_histogram;
   common::Summary latency;
   std::size_t latency_samples = 0;
   std::size_t deadline_hits = 0;
@@ -560,7 +567,9 @@ class Server {
     /// Rows executed per all-time slot index (grow-only; retired slots
     /// keep their totals).
     std::vector<std::size_t> replica_rows;
-    common::LatencyRecorder latencies;
+    /// Constant-size (~18 KB) whatever the traffic, so stats() snapshots
+    /// cost O(buckets) under stats_mu, not O(requests).
+    common::LatencyHistogram latencies;
 
     ModelEntry(std::string model_name,
                std::shared_ptr<const core::OptimizedPipeline> p, ModelConfig c);

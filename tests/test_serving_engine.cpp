@@ -6,7 +6,8 @@
 // SLO-class priority/EDF scheduling (including the starvation /
 // priority-inversion guarantee, asserted with the CI-based statistical
 // criterion), replica groups (least-outstanding balancing, artifact
-// cold-start, rolling swap under load), the consistent-hash Router, the
+// cold-start, rolling swap under load), the consistent-hash Router (with
+// fleet latency merged across shards), the
 // overload pipeline (typed queue-full rejection with a no-blocked-producer
 // watchdog, best-effort-shed-first ordering, expired-request drop under a
 // machine-calibrated deadline, and a shed-under-open-loop run that loses
@@ -25,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <thread>
@@ -2030,6 +2032,58 @@ TEST(Router, ForwardsAutoscaleConfigAndAggregatesResizeCounters) {
   EXPECT_EQ(router.draining_replicas("toxic"), 0u);
   EXPECT_EQ(router.stats().serving.draining, 0u);
   router.shutdown();
+}
+
+TEST(Router, StatsMergeFleetLatencyAcrossShards) {
+  auto& tox = fixture();
+  auto& cred = credit_fixture();
+  serving::RouterConfig cfg;
+  cfg.num_shards = 2;
+  cfg.shard.num_workers = 1;
+  serving::Router router(cfg);
+  // Place the two models on different shards.
+  std::string credit_name;
+  for (int i = 0; credit_name.empty(); ++i) {
+    const std::string name = "credit-" + std::to_string(i);
+    if (router.shard_of(name) != router.shard_of("toxic")) credit_name = name;
+  }
+  router.register_model("toxic", &tox.pipeline);
+  router.register_model(credit_name, &cred.pipeline);
+  constexpr std::size_t kToxic = 40;
+  constexpr std::size_t kCredit = 25;
+  for (std::size_t r = 0; r < kToxic; ++r) {
+    (void)router.submit("toxic", tox.wl.test.inputs.row(r)).get();
+  }
+  for (std::size_t r = 0; r < kCredit; ++r) {
+    (void)router.submit(credit_name, cred.wl.test.inputs.row(r)).get();
+  }
+  router.shutdown();
+
+  std::size_t samples = 0;
+  double lo_p99 = std::numeric_limits<double>::infinity();
+  double hi_p99 = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = 0.0;
+  for (std::size_t s = 0; s < router.num_shards(); ++s) {
+    const serving::ServerStats ss = router.shard(s).stats();
+    ASSERT_GT(ss.latency_samples, 0u) << "shard " << s << " saw no traffic";
+    samples += ss.latency_samples;
+    lo_p99 = std::min(lo_p99, ss.latency.p99);
+    hi_p99 = std::max(hi_p99, ss.latency.p99);
+    min = std::min(min, ss.latency.min);
+    max = std::max(max, ss.latency.max);
+  }
+  const serving::ServerStats fleet = router.stats().serving;
+  EXPECT_EQ(samples, kToxic + kCredit);
+  EXPECT_EQ(fleet.latency_samples, samples);
+  EXPECT_EQ(fleet.latency_histogram.count(), samples);
+  EXPECT_EQ(fleet.latency.min, min);
+  EXPECT_EQ(fleet.latency.max, max);
+  // A mixture's quantile lies between its components' quantiles; the
+  // histogram estimates may each sit up to one bucket (1/64) away.
+  EXPECT_GT(fleet.latency.p99, 0.0);
+  EXPECT_GE(fleet.latency.p99, lo_p99 * (1.0 - 1.0 / 64.0));
+  EXPECT_LE(fleet.latency.p99, hi_p99 * (1.0 + 1.0 / 64.0));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace willump::common {
@@ -98,6 +101,121 @@ TEST(LatencyRecorder, MergeCombinesSamples) {
   a.merge(b);
   EXPECT_EQ(a.count(), 3u);
   EXPECT_DOUBLE_EQ(a.percentile(50.0), 3.0);
+}
+
+/// Seeded log-normal latencies in seconds, centred near 1 ms.
+std::vector<double> lognormal_seconds(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::lognormal_distribution<double> dist(std::log(1e-3), 1.0);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = dist(rng);
+  return xs;
+}
+
+TEST(LatencyHistogram, QuantilesWithinOneSixtyFourthOfExact) {
+  const auto xs = lognormal_seconds(100000, 7);
+  LatencyHistogram h;
+  for (double x : xs) h.record(x);
+  for (double p : {50.0, 90.0, 99.0, 99.9}) {
+    const double exact = percentile(xs, p);
+    EXPECT_NEAR(h.percentile(p), exact, exact / 64.0) << "p" << p;
+  }
+  const Summary s = h.summary();
+  EXPECT_EQ(s.median, h.percentile(50.0));
+  EXPECT_EQ(s.p99, h.percentile(99.0));
+}
+
+TEST(LatencyHistogram, CountMeanMinMaxAreExact) {
+  const auto xs = lognormal_seconds(100000, 11);
+  LatencyHistogram h;
+  for (double x : xs) h.record(x);
+  EXPECT_EQ(h.count(), xs.size());
+  EXPECT_DOUBLE_EQ(h.mean(), mean(xs));
+  EXPECT_EQ(h.min(), *std::min_element(xs.begin(), xs.end()));
+  EXPECT_EQ(h.max(), *std::max_element(xs.begin(), xs.end()));
+  const Summary s = h.summary();
+  EXPECT_DOUBLE_EQ(s.mean, mean(xs));
+  EXPECT_EQ(s.min, h.min());
+  EXPECT_EQ(s.max, h.max());
+  // Every quantile is clamped into the exact [min, max].
+  EXPECT_EQ(h.percentile(0.0), h.min());
+  EXPECT_EQ(h.percentile(100.0), h.max());
+}
+
+TEST(LatencyHistogram, MergeEqualsRecordingBothStreams) {
+  const auto xs = lognormal_seconds(5000, 1);
+  const auto ys = lognormal_seconds(7000, 2);
+  LatencyHistogram a, b, both;
+  for (double x : xs) {
+    a.record(x);
+    both.record(x);
+  }
+  for (double y : ys) {
+    b.record(y);
+    both.record(y);
+  }
+  a.merge(b);
+  ASSERT_EQ(a.buckets().size(), both.buckets().size());
+  EXPECT_TRUE(std::equal(a.buckets().begin(), a.buckets().end(),
+                         both.buckets().begin()));
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_EQ(a.min(), both.min());
+  EXPECT_EQ(a.max(), both.max());
+  EXPECT_NEAR(a.mean(), both.mean(), 1e-12 * both.mean());
+  for (double p : {50.0, 99.0}) EXPECT_EQ(a.percentile(p), both.percentile(p));
+
+  LatencyHistogram empty;
+  empty.merge(both);  // merging into an empty histogram copies min/max
+  EXPECT_EQ(empty.min(), both.min());
+  EXPECT_EQ(empty.max(), both.max());
+  both.merge(LatencyHistogram{});  // and merging an empty one is a no-op
+  EXPECT_EQ(both.count(), a.count());
+}
+
+TEST(LatencyHistogram, EdgeInputs) {
+  LatencyHistogram h;
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.percentile(50.0), 0.0);
+  h.record(0.0);
+  h.record(-1.0);  // clamped to 0
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.buckets()[0], 2u);
+  EXPECT_EQ(h.min(), 0.0);
+  EXPECT_EQ(h.max(), 0.0);
+  EXPECT_EQ(h.percentile(99.0), 0.0);
+
+  // Beyond 2^40 ns (~18 min): the top bucket, with max still exact.
+  const double huge = 3600.0;
+  h.record(huge);
+  EXPECT_EQ(h.buckets()[LatencyHistogram::kBuckets - 1], 1u);
+  EXPECT_EQ(h.max(), huge);
+  EXPECT_EQ(h.percentile(100.0), huge);
+  EXPECT_DOUBLE_EQ(h.mean(), huge / 3.0);
+
+  // Bucket boundaries: unit buckets below 128 ns, 64 per octave above.
+  EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(127), 127u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(128), 128u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(129), 128u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(130), 129u);
+  EXPECT_EQ(LatencyHistogram::bucket_of((std::uint64_t{1} << 40) - 1),
+            LatencyHistogram::kBuckets - 1);
+  EXPECT_EQ(LatencyHistogram::bucket_of(std::uint64_t{1} << 50),
+            LatencyHistogram::kBuckets - 1);
+}
+
+TEST(LatencyHistogram, ClearEmpties) {
+  LatencyHistogram h;
+  for (double x : lognormal_seconds(1000, 3)) h.record(x);
+  h.clear();
+  EXPECT_TRUE(h.empty());
+  EXPECT_EQ(h.mean(), 0.0);
+  EXPECT_EQ(h.percentile(99.0), 0.0);
+  EXPECT_TRUE(std::all_of(h.buckets().begin(), h.buckets().end(),
+                          [](std::uint64_t c) { return c == 0; }));
+  h.record(2e-3);  // min/max restart from the first new sample
+  EXPECT_EQ(h.min(), 2e-3);
+  EXPECT_EQ(h.max(), 2e-3);
 }
 
 }  // namespace
