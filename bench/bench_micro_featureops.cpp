@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "common/rng.hpp"
 #include "core/cost_model.hpp"
 #include "core/executors.hpp"
+#include "core/ifv_analysis.hpp"
 #include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
@@ -144,11 +146,10 @@ void bench_tfidf() {
   // Parity first: the timed paths must agree bit-exactly.
   const data::CsrMatrix ref_rows = transform_old_shape(model, docs);
   std::size_t mismatches = 0;
-  for (const auto lookup : {kernels::LookupVariant::HashMap,
-                            kernels::LookupVariant::SortedVocab}) {
+  {
     ops::TfIdfScratch scratch;
     data::CsrMatrix blocked(model.vocabulary_size());
-    model.transform_into(span, lookup, scratch, blocked);
+    model.transform_into(span, scratch, blocked);
     for (std::size_t r = 0; r < docs.size(); ++r) {
       if (!(blocked.row_vector(r) == ref_rows.row_vector(r))) ++mismatches;
     }
@@ -162,19 +163,14 @@ void bench_tfidf() {
       bench_docs, reps(), [&] { (void)transform_old_shape(model, docs); });
   table.print_row({"per-doc", fmt("%.0f", per_doc), "1.00x"});
 
-  double best = 0.0;
-  for (const auto lookup : {kernels::LookupVariant::HashMap,
-                            kernels::LookupVariant::SortedVocab}) {
-    ops::TfIdfScratch scratch;
-    const double qps = throughput_rows_per_sec(bench_docs, reps(), [&] {
-      data::CsrMatrix out(model.vocabulary_size());
-      model.transform_into(span, lookup, scratch, out);
-    });
-    best = std::max(best, qps);
-    table.print_row({std::string("blocked/") + kernels::variant_name(lookup),
-                     fmt("%.0f", qps), fmt("%.2fx", qps / per_doc)});
-  }
-  check_trend(best >= 2.0 * per_doc,
+  ops::TfIdfScratch scratch;
+  const double blocked = throughput_rows_per_sec(bench_docs, reps(), [&] {
+    data::CsrMatrix out(model.vocabulary_size());
+    model.transform_into(span, scratch, out);
+  });
+  table.print_row(
+      {"blocked", fmt("%.0f", blocked), fmt("%.2fx", blocked / per_doc)});
+  check_trend(blocked >= 2.0 * per_doc,
               "blocked TF-IDF >= 2x per-document scalar");
 }
 
@@ -274,17 +270,29 @@ void bench_music() {
 
   core::OptimizeOptions ref_opts = compiled_config();
   ref_opts.kernel_config = kernels::native_config();
-  ref_opts.featureop_config =
-      kernels::FeatureOpConfig{kernels::LookupVariant::HashMap, 256, false};
+  ref_opts.featureop_config = kernels::FeatureOpConfig{.zero_copy = false};
   const auto reference = optimize(wl, ref_opts);
 
   core::OptimizeOptions zc_opts = ref_opts;
-  zc_opts.featureop_config =
-      kernels::FeatureOpConfig{kernels::LookupVariant::HashMap, 256, true};
+  zc_opts.featureop_config = kernels::FeatureOpConfig{.zero_copy = true};
   const auto zero_copy = optimize(wl, zc_opts);
 
-  core::OptimizeOptions tuned_opts = compiled_config();
-  tuned_opts.kernel_config = kernels::native_config();  // isolate the op layer
+  // A forced kernel config (which isolates the op layer) skips the
+  // optimizer's whole autotuner, op stage included, so the op-level tuner
+  // runs here directly on the training sample the optimizer would time,
+  // and the autotuned arm serves its pick.
+  const kernels::AutotuneConfig acfg;
+  std::vector<std::size_t> sample_rows(
+      std::min(acfg.sample_rows, wl.train.inputs.num_rows()));
+  std::iota(sample_rows.begin(), sample_rows.end(), std::size_t{0});
+  const data::Batch sample = wl.train.inputs.select_rows(sample_rows);
+  core::CompiledExecutor op_probe(wl.pipeline.graph,
+                                  core::analyze_ifvs(wl.pipeline.graph));
+  op_probe.probe_layout(sample);
+  std::vector<kernels::VariantTiming> op_timings;
+  core::OptimizeOptions tuned_opts = ref_opts;
+  tuned_opts.featureop_config =
+      core::tune_feature_ops(op_probe, sample, acfg, &op_timings);
   const auto tuned = optimize(wl, tuned_opts);
 
   const auto feature_tput = [&](const core::OptimizedPipeline& p) {
@@ -313,10 +321,12 @@ void bench_music() {
   table.print_row({"autotuned", fmt("%.0f", tuned_feat), fmt("%.0f", tuned_e2e),
                    fmt("%.2fx", tuned_e2e / ref_e2e)});
 
-  const auto& ops_cfg = tuned.autotune_report().ops;
-  std::printf("autotuned op config: lookup=%s block_rows=%u zero_copy=%s\n",
-              kernels::variant_name(ops_cfg.lookup), ops_cfg.block_rows,
-              ops_cfg.zero_copy ? "on" : "off");
+  std::printf("autotuned op config: zero_copy=%s\n",
+              tuned_opts.featureop_config->zero_copy ? "on" : "off");
+  for (const auto& t : op_timings) {
+    std::printf("autotune timing: %s %.1f us\n", t.name.c_str(),
+                t.seconds * 1e6);
+  }
 
   // Bit-exact predictions: identical features => identical training =>
   // identical models, so the arms must agree to the last bit.

@@ -6,8 +6,6 @@
 
 #include "common/timer.hpp"
 #include "core/cascades.hpp"
-#include "ops/encoders.hpp"
-#include "ops/tfidf.hpp"
 
 namespace willump::core {
 
@@ -51,22 +49,6 @@ double time_predict_into(const models::Model& m, const data::FeatureMatrix& x,
 double time_compute_matrix(const Executor& e, const data::Batch& b, int reps) {
   (void)e.compute_matrix(b);
   return common::time_median_seconds(reps, [&e, &b] { (void)e.compute_matrix(b); });
-}
-
-bool graph_has_tfidf(const Graph& g) {
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const auto* op = g.node(static_cast<int>(i)).op.get();
-    if (dynamic_cast<const ops::TfIdfOp*>(op) != nullptr) return true;
-  }
-  return false;
-}
-
-bool graph_has_onehot(const Graph& g) {
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    const auto* op = g.node(static_cast<int>(i)).op.get();
-    if (dynamic_cast<const ops::OneHotHashOp*>(op) != nullptr) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -167,98 +149,22 @@ kernels::FeatureOpConfig tune_feature_ops(
   kernels::FeatureOpConfig best = executor.featureop_config();
   if (sample.num_rows() == 0 || cfg.reps <= 0) return best;
 
-  // Stage 1: vocabulary lookup strategy. Only TF-IDF consults it, so other
-  // pipelines skip the measurement entirely.
-  if (graph_has_tfidf(executor.graph())) {
-    double best_s = std::numeric_limits<double>::infinity();
-    kernels::FeatureOpConfig pick = best;
-    for (const auto v :
-         {kernels::LookupVariant::HashMap, kernels::LookupVariant::SortedVocab}) {
-      kernels::FeatureOpConfig c = best;
-      c.lookup = v;
-      executor.set_featureop_config(c);
-      const double s = time_compute_matrix(executor, sample, cfg.reps);
-      if (timings != nullptr) {
-        timings->push_back(
-            {std::string("ops/lookup:") + kernels::variant_name(v), s});
-      }
-      if (s < best_s) {
-        best_s = s;
-        pick = c;
-      }
+  // Zero-copy planned assembly off/on. Off is the reference blocks+hconcat
+  // path; both produce bit-identical matrices.
+  double best_s = std::numeric_limits<double>::infinity();
+  for (const bool zc : {false, true}) {
+    const kernels::FeatureOpConfig c{.zero_copy = zc};
+    executor.set_featureop_config(c);
+    const double s = time_compute_matrix(executor, sample, cfg.reps);
+    if (timings != nullptr) {
+      timings->push_back(
+          {std::string("ops/zero_copy:") + (zc ? "on" : "off"), s});
     }
-    best = pick;
-  }
-
-  // Stage 1b: one-hot hashing shape. Scalar hashes and appends per row;
-  // Batched stages the whole block's buckets first (arena/thread-local) and
-  // appends in a second tight loop. Identical rows either way, so only
-  // graphs that actually hash pay for the measurement.
-  if (graph_has_onehot(executor.graph())) {
-    double best_s = std::numeric_limits<double>::infinity();
-    kernels::FeatureOpConfig pick = best;
-    for (const auto v :
-         {kernels::OneHotVariant::Scalar, kernels::OneHotVariant::Batched}) {
-      kernels::FeatureOpConfig c = best;
-      c.onehot = v;
-      executor.set_featureop_config(c);
-      const double s = time_compute_matrix(executor, sample, cfg.reps);
-      if (timings != nullptr) {
-        timings->push_back(
-            {std::string("ops/onehot:") + kernels::variant_name(v), s});
-      }
-      if (s < best_s) {
-        best_s = s;
-        pick = c;
-      }
+    if (s < best_s) {
+      best_s = s;
+      best = c;
     }
-    best = pick;
   }
-
-  // Stage 2: zero-copy planned assembly off/on. Off is the reference
-  // blocks+hconcat path; both produce bit-identical matrices.
-  {
-    double best_s = std::numeric_limits<double>::infinity();
-    kernels::FeatureOpConfig pick = best;
-    for (const bool zc : {false, true}) {
-      kernels::FeatureOpConfig c = best;
-      c.zero_copy = zc;
-      executor.set_featureop_config(c);
-      const double s = time_compute_matrix(executor, sample, cfg.reps);
-      if (timings != nullptr) {
-        timings->push_back(
-            {std::string("ops/zero_copy:") + (zc ? "on" : "off"), s});
-      }
-      if (s < best_s) {
-        best_s = s;
-        pick = c;
-      }
-    }
-    best = pick;
-  }
-
-  // Stage 3: dense assembly row-chunk size — the cache-blocking granularity
-  // of the fused concat. Irrelevant when stage 2 kept the fallback path.
-  if (best.zero_copy && !cfg.block_rows.empty()) {
-    double best_s = std::numeric_limits<double>::infinity();
-    kernels::FeatureOpConfig pick = best;
-    for (std::uint32_t b : cfg.block_rows) {
-      b = std::clamp<std::uint32_t>(b, 1, kernels::kMaxBlockRows);
-      kernels::FeatureOpConfig c = best;
-      c.block_rows = b;
-      executor.set_featureop_config(c);
-      const double s = time_compute_matrix(executor, sample, cfg.reps);
-      if (timings != nullptr) {
-        timings->push_back({"ops/block_rows:" + std::to_string(b), s});
-      }
-      if (s < best_s) {
-        best_s = s;
-        pick = c;
-      }
-    }
-    best = pick;
-  }
-
   executor.set_featureop_config(best);
   return best;
 }

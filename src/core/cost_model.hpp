@@ -44,12 +44,10 @@ kernels::KernelConfig tune_model_kernels(
     const kernels::AutotuneConfig& cfg, const std::string& label,
     std::vector<kernels::VariantTiming>* timings);
 
-/// Time op-level choices for a compiled executor's feature pipeline on a
-/// sample batch and install the winners: vocabulary lookup strategy (only
-/// when the graph tokenizes — a TF-IDF op consults it), zero-copy planned
-/// assembly off/on, and the dense assembly row-chunk size. Greedy stages on
-/// independent axes, same measurement discipline as tune_model_kernels;
-/// every feature-op choice is bit-exact, so timing is the only criterion.
+/// Time the op-level choice for a compiled executor's feature pipeline on a
+/// sample batch and install the winner: zero-copy planned assembly off/on.
+/// Same measurement discipline as tune_model_kernels; both choices are
+/// bit-exact, so timing is the only criterion.
 kernels::FeatureOpConfig tune_feature_ops(
     CompiledExecutor& executor, const data::Batch& sample,
     const kernels::AutotuneConfig& cfg,

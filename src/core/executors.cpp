@@ -562,10 +562,10 @@ void CompiledExecutor::run_steps(std::span<const PlanStep> steps,
     } else if (const auto* emitter =
                    dynamic_cast<const ops::SparseBlockEmitter*>(first.op.get());
                emitter != nullptr) {
-      // Sparse block producers run their batched kernel with the tuned
-      // lookup strategy even outside the zero-copy plan (cached, pooled and
-      // masked paths included); rows are bit-identical to eval_batch.
-      const ops::BlockExecContext ctx{opcfg_, frame.arena};
+      // Sparse block producers run their batched kernel even outside the
+      // zero-copy plan (cached, pooled and masked paths included); rows are
+      // bit-identical to eval_batch.
+      const ops::BlockExecContext ctx{frame.arena};
       if (frame.source_bound != nullptr) {
         // Persistent store: rebuild the slot's CSR in place so its index /
         // value arrays keep last batch's capacity.
@@ -744,6 +744,9 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
 
 namespace {
 
+/// Rows per chunk of the fused dense concat.
+constexpr std::size_t kDenseConcatChunkRows = 256;
+
 /// Fused k-way dense concat: copy every selected block's rows into its
 /// column slice of one preallocated matrix, row-chunk-major so the
 /// destination chunk stays cache-resident across the k sources. One copy
@@ -751,11 +754,11 @@ namespace {
 /// in place (capacity reuse on persistent destinations).
 void fused_dense_concat(const std::vector<const data::FeatureMatrix*>& blocks,
                         std::size_t rows, std::size_t total_cols,
-                        std::size_t block_rows, data::DenseMatrix& out) {
+                        data::DenseMatrix& out) {
   out.reshape(rows, total_cols);
   double* dst = out.mutable_data().data();
-  for (std::size_t r0 = 0; r0 < rows; r0 += block_rows) {
-    const std::size_t r1 = std::min(rows, r0 + block_rows);
+  for (std::size_t r0 = 0; r0 < rows; r0 += kDenseConcatChunkRows) {
+    const std::size_t r1 = std::min(rows, r0 + kDenseConcatChunkRows);
     std::size_t col_off = 0;
     for (const auto* b : blocks) {
       const auto& d = b->dense();
@@ -868,7 +871,7 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
                     ? Frame{sc->store, &sc->source_bound, &sc->arena,
                             &sc->gather_tmp}
                     : Frame{local_store};
-  const ops::BlockExecContext ctx{opcfg_, frame.arena};
+  const ops::BlockExecContext ctx{frame.arena};
   std::vector<data::Value> gather_local;
   std::vector<data::Value>& gtmp =
       frame.gather_tmp != nullptr ? *frame.gather_tmp : gather_local;
@@ -937,8 +940,7 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
   } else if (any_sparse) {
     fused_sparse_concat(parts, rows, total_cols, result.ensure_sparse());
   } else {
-    fused_dense_concat(parts, rows, total_cols, opcfg_.block_rows,
-                       result.ensure_dense());
+    fused_dense_concat(parts, rows, total_cols, result.ensure_dense());
   }
   result = apply_post_chain(std::move(result), opts.fg_mask, full);
   return true;

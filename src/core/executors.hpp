@@ -233,9 +233,8 @@ class CompiledExecutor final : public Executor {
 
   const CompiledPlan& plan() const { return plan_; }
 
-  /// Tuned feature-op choices (lookup strategy, assembly row-block size,
-  /// zero-copy planning). Set by the op-level autotuner and by artifact
-  /// deserialization; defaults are the untuned reference choices.
+  /// Tuned feature-op choice (zero-copy planning). Set by the op-level
+  /// autotuner and by artifact deserialization.
   void set_featureop_config(const kernels::FeatureOpConfig& c) { opcfg_ = c; }
   const kernels::FeatureOpConfig& featureop_config() const { return opcfg_; }
 

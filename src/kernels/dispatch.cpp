@@ -74,22 +74,6 @@ const char* variant_name(TreeVariant v) {
   return "?";
 }
 
-const char* variant_name(LookupVariant v) {
-  switch (v) {
-    case LookupVariant::HashMap: return "hashmap";
-    case LookupVariant::SortedVocab: return "sorted";
-  }
-  return "?";
-}
-
-const char* variant_name(OneHotVariant v) {
-  switch (v) {
-    case OneHotVariant::Scalar: return "scalar";
-    case OneHotVariant::Batched: return "batched";
-  }
-  return "?";
-}
-
 void save_kernel_config(serialize::Writer& w, const KernelConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.dot));
   w.u8(static_cast<std::uint8_t>(c.tree));
@@ -116,34 +100,36 @@ KernelConfig load_kernel_config(serialize::Reader& r) {
   return c;
 }
 
+// Retired feature-op choices keep their KERN slots; these are the values of
+// the survivors every artifact now runs with (hash-map vocabulary lookup,
+// 256-row dense assembly chunks, batched one-hot hashing).
+constexpr std::uint8_t kRetiredLookup = 0;
+constexpr std::uint32_t kRetiredBlockRows = 256;
+constexpr std::uint8_t kRetiredOneHot = 1;
+
 void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c) {
-  w.u8(static_cast<std::uint8_t>(c.lookup));
-  w.u32(c.block_rows);
+  w.u8(kRetiredLookup);
+  w.u32(kRetiredBlockRows);
   w.u8(c.zero_copy ? 1 : 0);
   if (w.format_version() >= 4) {
-    w.u8(static_cast<std::uint8_t>(c.onehot));
+    w.u8(kRetiredOneHot);
   }
 }
 
 FeatureOpConfig load_featureop_config(serialize::Reader& r) {
-  FeatureOpConfig c;
   const std::uint8_t lookup = r.u8();
   const std::uint32_t block_rows = r.u32();
   const std::uint8_t zero_copy = r.u8();
-  // v3 artifacts predate the one-hot stage: the default (Scalar) is the
-  // exact behavior they were tuned with.
+  // v3 artifacts predate the one-hot slot.
   const std::uint8_t onehot = r.format_version() >= 4 ? r.u8() : 0;
-  if (lookup > static_cast<std::uint8_t>(LookupVariant::SortedVocab) ||
-      block_rows == 0 || block_rows > kMaxBlockRows || zero_copy > 1 ||
-      onehot > static_cast<std::uint8_t>(OneHotVariant::Batched)) {
+  // Every retired value was bit-exact with its survivor, so a valid retired
+  // byte is ignored; only bytes no writer ever produced are corrupt.
+  if (lookup > 1 || block_rows == 0 || block_rows > kMaxBlockRows ||
+      zero_copy > 1 || onehot > 1) {
     throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
                                     "feature-op config out of range");
   }
-  c.lookup = static_cast<LookupVariant>(lookup);
-  c.block_rows = block_rows;
-  c.zero_copy = zero_copy != 0;
-  c.onehot = static_cast<OneHotVariant>(onehot);
-  return c;
+  return FeatureOpConfig{.zero_copy = zero_copy != 0};
 }
 
 }  // namespace willump::kernels

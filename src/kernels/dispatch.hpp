@@ -57,37 +57,17 @@ struct KernelConfig {
   bool operator==(const KernelConfig&) const = default;
 };
 
-/// Vocabulary-lookup strategy for term-indexed feature ops (TF-IDF).
-/// HashMap is the reference (heterogeneous unordered_map find); SortedVocab
-/// binary-searches an index-sorted term permutation — fewer cache lines for
-/// small vocabularies, no hashing. Both produce identical features.
-enum class LookupVariant : std::uint8_t {
-  HashMap = 0,
-  SortedVocab = 1,
-};
-
-/// Hashed one-hot encoding strategy. Scalar is the reference (hash + append
-/// per row inline); Batched precomputes the whole block's buckets into the
-/// worker arena first, so the hash loop and the CSR append loop each stay
-/// tight. Both produce identical features.
-enum class OneHotVariant : std::uint8_t {
-  Scalar = 0,
-  Batched = 1,
-};
-
 /// Pipeline-level feature-operator selection, tuned by the op-level
 /// autotuner and persisted in the artifact KERN section so load_model
 /// cold-starts with the tuned feature path.
 struct FeatureOpConfig {
-  LookupVariant lookup = LookupVariant::HashMap;
-  std::uint32_t block_rows = 256;  // rows per feature block, [1, 2^20]
-  bool zero_copy = true;           // plan contiguous output blocks in the executor
-  OneHotVariant onehot = OneHotVariant::Scalar;
+  bool zero_copy = true;  // plan contiguous output blocks in the executor
 
   bool operator==(const FeatureOpConfig&) const = default;
 };
 
-/// Upper bound on block_rows (sanity bound for deserialization).
+/// Upper bound on the retired block_rows field of a serialized feature-op
+/// config (sanity bound for deserialization).
 inline constexpr std::uint32_t kMaxBlockRows = 1u << 20;
 
 /// Whether this CPU can execute `v` (Scalar/Unrolled always can).
@@ -107,8 +87,6 @@ KernelConfig native_config();
 
 const char* variant_name(DotVariant v);
 const char* variant_name(TreeVariant v);
-const char* variant_name(LookupVariant v);
-const char* variant_name(OneHotVariant v);
 
 /// Serialize/deserialize a config (fixed 10 bytes). load validates ranges
 /// and throws SerializeError(CorruptData) on out-of-range values; it does
@@ -119,8 +97,11 @@ KernelConfig load_kernel_config(serialize::Reader& r);
 
 /// Serialize/deserialize a feature-op config (fixed 6 bytes in v3
 /// artifacts, 7 in v4 — the one-hot variant byte rides the format-version
-/// gate the Writer/Reader carry). Same validation discipline as the
-/// kernel config.
+/// gate the Writer/Reader carry). Besides zero_copy the layout keeps the
+/// slots of three retired choices (vocabulary lookup, assembly row-chunk
+/// size, one-hot shape): save writes the survivors' values, load still
+/// range-checks the bytes (CorruptData) and then ignores them, so artifacts
+/// tuned to a retired value load onto the bit-exact survivor.
 void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c);
 FeatureOpConfig load_featureop_config(serialize::Reader& r);
 

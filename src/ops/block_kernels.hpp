@@ -5,19 +5,16 @@
 #include "common/arena.hpp"
 #include "data/matrix.hpp"
 #include "data/value.hpp"
-#include "kernels/dispatch.hpp"
 
 namespace willump::ops {
 
-/// Tuned feature-op choices threaded through the blocked execution path
-/// (the executor owns the pipeline-level FeatureOpConfig). `arena`, when
-/// set, is the calling worker's per-batch bump allocator: ops may stage
-/// trivially-destructible scratch (bucket arrays, densify buffers) there
-/// instead of the heap; the executor resets it between batches. Null means
-/// no arena is threaded (interpreted engine, tests) — ops must fall back
-/// to their own allocation.
+/// Per-call state threaded through the blocked execution path. `arena`,
+/// when set, is the calling worker's per-batch bump allocator: ops may
+/// stage trivially-destructible scratch (bucket arrays, densify buffers)
+/// there instead of the heap; the executor resets it between batches. Null
+/// means no arena is threaded (interpreted engine, tests) — ops must fall
+/// back to their own allocation.
 struct BlockExecContext {
-  kernels::FeatureOpConfig cfg;
   common::Arena* arena = nullptr;
 };
 
@@ -37,7 +34,7 @@ class DenseBlockWriter {
 };
 
 /// Mixin for ops that produce sparse blocks: emit the whole batch as CSR in
-/// one pass using the tuned lookup strategy and per-worker scratch. The
+/// one pass using per-worker scratch. The
 /// executor moves the result out (single-generator plans) or streams it
 /// through the fused k-way concat. Rows must be bit-identical to
 /// eval_batch's sparse output.

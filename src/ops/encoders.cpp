@@ -68,29 +68,22 @@ void OneHotHashOp::emit_into(std::span<const data::Value> inputs,
   out.reset(n_buckets_);
   out.reserve(keys.size(), keys.size());  // exactly one entry per row
   data::SparseEntry e[1];
-  if (ctx.cfg.onehot == kernels::OneHotVariant::Batched) {
-    // Hash the whole block into a staged bucket array first (worker arena
-    // when threaded, reused thread-local otherwise), then run the CSR
-    // append as its own tight loop. Identical buckets to the scalar path.
-    std::span<std::int32_t> buckets;
-    thread_local std::vector<std::int32_t> fallback;
-    if (ctx.arena != nullptr) {
-      buckets = ctx.arena->make_span<std::int32_t>(keys.size());
-    } else {
-      fallback.resize(keys.size());
-      buckets = fallback;
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      buckets[i] = bucket_of(keys[i]);
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      e[0] = {buckets[i], 1.0};
-      out.append_row(std::span<const data::SparseEntry>(e, 1));
-    }
-    return;
+  // Hash the whole block into a staged bucket array first (worker arena
+  // when threaded, reused thread-local otherwise), then run the CSR append
+  // as its own tight loop. Identical buckets to eval_batch.
+  std::span<std::int32_t> buckets;
+  thread_local std::vector<std::int32_t> fallback;
+  if (ctx.arena != nullptr) {
+    buckets = ctx.arena->make_span<std::int32_t>(keys.size());
+  } else {
+    fallback.resize(keys.size());
+    buckets = fallback;
   }
-  for (std::int64_t k : keys) {
-    e[0] = {bucket_of(k), 1.0};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    buckets[i] = bucket_of(keys[i]);
+  }
+  for (const std::int32_t b : buckets) {
+    e[0] = {b, 1.0};
     out.append_row(std::span<const data::SparseEntry>(e, 1));
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "serialize/buffer.hpp"
@@ -65,16 +66,6 @@ void TfIdfModel::finalize_index() {
   for (const auto& [term, idx] : vocab_) {
     terms_[static_cast<std::size_t>(idx)] = term;
   }
-  sorted_perm_.resize(static_cast<std::size_t>(dim_));
-  for (std::int32_t i = 0; i < dim_; ++i) {
-    sorted_perm_[static_cast<std::size_t>(i)] = i;
-  }
-  std::sort(sorted_perm_.begin(), sorted_perm_.end(),
-            [&](std::int32_t a, std::int32_t b) {
-              return terms_[static_cast<std::size_t>(a)] <
-                     terms_[static_cast<std::size_t>(b)];
-            });
-
   // Flat probe table at <= 50% load; minimum size keeps the probe loop
   // in-bounds even for an empty vocabulary (every slot reads as empty).
   const std::size_t slots = std::max<std::size_t>(
@@ -96,7 +87,6 @@ std::int32_t TfIdfModel::term_index(std::string_view term) const {
 }
 
 void TfIdfModel::count_terms(std::string_view doc,
-                             kernels::LookupVariant lookup,
                              TfIdfScratch& scratch) const {
   scratch.counts.resize(static_cast<std::size_t>(dim_), 0.0);
   scratch.touched.clear();
@@ -105,34 +95,19 @@ void TfIdfModel::count_terms(std::string_view doc,
     if (c == 0.0) scratch.touched.push_back(idx);
     c += 1.0;
   };
-  if (lookup == kernels::LookupVariant::SortedVocab) {
-    for_each_ngram_t(doc, cfg_.analyzer, cfg_.ngrams, scratch.tok,
-                     [&](std::string_view g) {
-                       auto it = std::lower_bound(
-                           sorted_perm_.begin(), sorted_perm_.end(), g,
-                           [&](std::int32_t i, std::string_view key) {
-                             return terms_[static_cast<std::size_t>(i)] < key;
-                           });
-                       if (it != sorted_perm_.end() &&
-                           terms_[static_cast<std::size_t>(*it)] == g) {
-                         hit(*it);
+  for_each_ngram_t(doc, cfg_.analyzer, cfg_.ngrams, scratch.tok,
+                   [&](std::string_view g) {
+                     const std::uint64_t h = std::hash<std::string_view>{}(g);
+                     std::size_t s = h & flat_mask_;
+                     for (std::int32_t idx; (idx = flat_[s].idx) != -1;
+                          s = (s + 1) & flat_mask_) {
+                       if (flat_[s].hash == h &&
+                           terms_[static_cast<std::size_t>(idx)] == g) {
+                         hit(idx);
+                         break;
                        }
-                     });
-  } else {
-    for_each_ngram_t(doc, cfg_.analyzer, cfg_.ngrams, scratch.tok,
-                     [&](std::string_view g) {
-                       const std::uint64_t h = std::hash<std::string_view>{}(g);
-                       std::size_t s = h & flat_mask_;
-                       for (std::int32_t idx; (idx = flat_[s].idx) != -1;
-                            s = (s + 1) & flat_mask_) {
-                         if (flat_[s].hash == h &&
-                             terms_[static_cast<std::size_t>(idx)] == g) {
-                           hit(idx);
-                           break;
-                         }
-                       }
-                     });
-  }
+                     }
+                   });
 }
 
 void TfIdfModel::build_row(TfIdfScratch& scratch) const {
@@ -161,7 +136,7 @@ void TfIdfModel::build_row(TfIdfScratch& scratch) const {
 
 data::SparseVector TfIdfModel::transform_one(std::string_view doc) const {
   thread_local TfIdfScratch scratch;
-  count_terms(doc, kernels::LookupVariant::HashMap, scratch);
+  count_terms(doc, scratch);
   build_row(scratch);
   std::vector<data::SparseEntry> entries(scratch.row.begin(),
                                          scratch.row.end());
@@ -169,11 +144,10 @@ data::SparseVector TfIdfModel::transform_one(std::string_view doc) const {
 }
 
 void TfIdfModel::transform_into(std::span<const std::string> docs,
-                                kernels::LookupVariant lookup,
                                 TfIdfScratch& scratch,
                                 data::CsrMatrix& out) const {
   for (const auto& doc : docs) {
-    count_terms(doc, lookup, scratch);
+    count_terms(doc, scratch);
     build_row(scratch);
     out.append_row(scratch.row);
   }
@@ -183,7 +157,7 @@ data::CsrMatrix TfIdfModel::transform(const data::StringColumn& docs) const {
   thread_local TfIdfScratch scratch;
   data::CsrMatrix out(dim_);
   transform_into(std::span<const std::string>(docs.data(), docs.size()),
-                 kernels::LookupVariant::HashMap, scratch, out);
+                 scratch, out);
   return out;
 }
 
@@ -202,9 +176,16 @@ void TfIdfModel::save(serialize::Writer& w) const {
     // plus a short suffix), followed by the permutation mapping sorted
     // position -> vocab index, and a CRC over the *decoded* index-ordered
     // terms so a codec fault can never ship a silently wrong vocabulary.
+    std::vector<std::int32_t> sorted_perm(terms_.size());
+    std::iota(sorted_perm.begin(), sorted_perm.end(), 0);
+    std::sort(sorted_perm.begin(), sorted_perm.end(),
+              [&](std::int32_t a, std::int32_t b) {
+                return terms_[static_cast<std::size_t>(a)] <
+                       terms_[static_cast<std::size_t>(b)];
+              });
     w.varint(terms_.size());
     std::string_view prev;
-    for (std::int32_t vi : sorted_perm_) {
+    for (std::int32_t vi : sorted_perm) {
       const std::string_view t = terms_[static_cast<std::size_t>(vi)];
       std::size_t shared = 0;
       const std::size_t cap = std::min(prev.size(), t.size());
@@ -216,7 +197,7 @@ void TfIdfModel::save(serialize::Writer& w) const {
           t.size() - shared));
       prev = t;
     }
-    for (std::int32_t vi : sorted_perm_) {
+    for (std::int32_t vi : sorted_perm) {
       w.varint(static_cast<std::uint64_t>(vi));
     }
     serialize::Writer probe(w.format_version());
@@ -355,8 +336,9 @@ void TfIdfOp::emit_into(std::span<const data::Value> inputs,
   thread_local TfIdfScratch scratch;
   out.reset(model_->vocabulary_size());
   out.reserve(docs.size(), docs.size() * 16);  // ~16 hits/doc starting guess
+  (void)ctx;
   model_->transform_into(std::span<const std::string>(docs.data(), docs.size()),
-                         ctx.cfg.lookup, scratch, out);
+                         scratch, out);
 }
 
 }  // namespace willump::ops

@@ -9,7 +9,6 @@
 
 #include "data/matrix.hpp"
 #include "data/value.hpp"
-#include "kernels/dispatch.hpp"
 #include "ops/block_kernels.hpp"
 #include "ops/operator.hpp"
 #include "ops/tokenizer.hpp"
@@ -91,11 +90,9 @@ class TfIdfModel {
 
   /// Blocked transform: append one CSR row per document directly onto
   /// `out` (which must have cols() == vocabulary_size()), reusing `scratch`
-  /// across documents so the steady-state path allocates nothing. `lookup`
-  /// selects the vocabulary probe strategy; both variants produce
-  /// bit-identical rows to transform_one.
-  void transform_into(std::span<const std::string> docs,
-                      kernels::LookupVariant lookup, TfIdfScratch& scratch,
+  /// across documents so the steady-state path allocates nothing. Rows are
+  /// bit-identical to transform_one.
+  void transform_into(std::span<const std::string> docs, TfIdfScratch& scratch,
                       data::CsrMatrix& out) const;
 
   std::int32_t vocabulary_size() const { return dim_; }
@@ -110,13 +107,13 @@ class TfIdfModel {
   static TfIdfModel load(serialize::Reader& r);
 
  private:
-  /// Rebuild terms_ / sorted_perm_ from vocab_ (after fit or load).
+  /// Rebuild terms_ and the flat probe table from vocab_ (after fit or
+  /// load).
   void finalize_index();
 
   /// Accumulate one document's vocab-hit counts into scratch (counts +
   /// touched); counts must be dim_ zeros on entry.
-  void count_terms(std::string_view doc, kernels::LookupVariant lookup,
-                   TfIdfScratch& scratch) const;
+  void count_terms(std::string_view doc, TfIdfScratch& scratch) const;
 
   /// Turn accumulated counts into the sorted tf·idf entry row in
   /// scratch.row (l2-normalized per config) and restore the counts
@@ -131,13 +128,13 @@ class TfIdfModel {
                      std::equal_to<>>
       vocab_;
   std::vector<double> idf_;
-  std::vector<std::string_view> terms_;      // index -> term (views into vocab_ keys)
-  std::vector<std::int32_t> sorted_perm_;    // vocab indices, term-lexicographic
+  // index -> term (views into vocab_ keys)
+  std::vector<std::string_view> terms_;
 
-  /// Flat open-addressing probe table for the HashMap lookup variant: one
-  /// contiguous access per probe instead of the unordered_map's bucket-node
-  /// chase. The stored hash filters almost every collision before the
-  /// string compare, and the compare keeps hits exact (bit-exact rows).
+  /// Flat open-addressing vocabulary probe table: one contiguous access
+  /// per probe instead of the unordered_map's bucket-node chase. The stored
+  /// hash filters almost every collision before the string compare, and
+  /// the compare keeps hits exact (bit-exact rows).
   struct FlatSlot {
     std::uint64_t hash = 0;
     std::int32_t idx = -1;  // vocab index, -1 = empty

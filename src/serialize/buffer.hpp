@@ -21,6 +21,7 @@ namespace willump::serialize {
 /// v3: kernel configs gain a sparse-traversal cutoff; the 'KERN' report
 /// gains the op-level feature-pipeline winners (lookup strategy, zero-copy
 /// assembly, row-chunk size), installed on the compiled executor at load.
+/// All but zero-copy are since retired; their bytes stay in the layout.
 /// v4: per-section codecs — varint length prefixes, delta-coded sorted
 /// integer keys, a dictionary codec for repetitive double vectors, and
 /// front-coded TF-IDF vocabularies — each carrying a CRC-32 over the

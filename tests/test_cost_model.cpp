@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "kernels/autotune.hpp"
 #include "test_support.hpp"
@@ -63,10 +65,22 @@ TEST(CostModel, RemoteNetworkRaisesLookupCosts) {
   EXPECT_GT(remote_total, local_total);
 }
 
-TEST(CostModel, OneHotStageTunesHashingGraphs) {
-  // Price's graph hashes brand/category one-hots, so the staged feature-op
-  // search must time both one-hot shapes and install a winner; both shapes
-  // must produce bit-identical matrices.
+/// The "ops/" entries of a timing table, in timing order.
+std::vector<std::string> op_timing_names(
+    const std::vector<kernels::VariantTiming>& timings) {
+  std::vector<std::string> names;
+  for (const auto& t : timings) {
+    if (t.name.rfind("ops/", 0) == 0) names.push_back(t.name);
+  }
+  return names;
+}
+
+const std::vector<std::string> kZeroCopyOnly{"ops/zero_copy:off",
+                                             "ops/zero_copy:on"};
+
+TEST(CostModel, FeatureOpTuningTimesOnlyZeroCopy) {
+  // Price's graph hashes brand/category one-hots and runs TF-IDF on names:
+  // zero-copy assembly is still the only op-level choice the tuner times.
   workloads::PriceConfig cfg;
   cfg.sizes = {.train = 500, .valid = 200, .test = 200};
   cfg.name_tfidf_features = 200;
@@ -79,47 +93,25 @@ TEST(CostModel, OneHotStageTunesHashingGraphs) {
   std::iota(rows.begin(), rows.end(), std::size_t{0});
   const data::Batch sample = wl.train.inputs.select_rows(rows);
 
-  // Parity across the one-hot shapes, independent of the tuner's pick.
-  kernels::FeatureOpConfig c = ex.featureop_config();
-  c.onehot = kernels::OneHotVariant::Scalar;
-  ex.set_featureop_config(c);
-  const auto scalar_m = ex.compute_matrix(sample).to_csr();
-  c.onehot = kernels::OneHotVariant::Batched;
-  ex.set_featureop_config(c);
-  const auto batched_m = ex.compute_matrix(sample).to_csr();
-  ASSERT_EQ(scalar_m.rows(), batched_m.rows());
-  for (std::size_t r = 0; r < scalar_m.rows(); ++r) {
-    EXPECT_TRUE(scalar_m.row_vector(r) == batched_m.row_vector(r))
-        << "row " << r;
-  }
-
   kernels::AutotuneConfig acfg;
   acfg.reps = 1;
   std::vector<kernels::VariantTiming> timings;
-  (void)tune_feature_ops(ex, sample, acfg, &timings);
-  bool saw_scalar = false;
-  bool saw_batched = false;
-  for (const auto& t : timings) {
-    if (t.name == "ops/onehot:scalar") saw_scalar = true;
-    if (t.name == "ops/onehot:batched") saw_batched = true;
-  }
-  EXPECT_TRUE(saw_scalar);
-  EXPECT_TRUE(saw_batched);
+  const kernels::FeatureOpConfig winner =
+      tune_feature_ops(ex, sample, acfg, &timings);
+  EXPECT_EQ(ex.featureop_config(), winner);
+  EXPECT_EQ(op_timing_names(timings), kZeroCopyOnly);
 }
 
-TEST(CostModel, OneHotStageSkippedWithoutHashingOps) {
-  // Toxic has no one-hot op: the stage must not spend measurements on it.
+TEST(CostModel, OptimizedToxicReportsOnlyZeroCopyOpTimings) {
   auto& f = willump::testing::shared_toxic();
-  std::vector<std::size_t> rows(32);
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
-  const data::Batch sample = f.wl.train.inputs.select_rows(rows);
-  kernels::AutotuneConfig acfg;
-  acfg.reps = 1;
-  std::vector<kernels::VariantTiming> timings;
-  (void)tune_feature_ops(*f.compiled, sample, acfg, &timings);
-  for (const auto& t : timings) {
-    EXPECT_EQ(t.name.find("ops/onehot:"), std::string::npos) << t.name;
-  }
+  OptimizeOptions opts;
+  opts.cascades = true;
+  opts.autotune.reps = 1;
+  opts.autotune.sample_rows = 32;
+  const auto p =
+      WillumpOptimizer::optimize(f.wl.pipeline, f.wl.train, f.wl.valid, opts);
+  ASSERT_TRUE(p.autotune_report().tuned_ops);
+  EXPECT_EQ(op_timing_names(p.autotune_report().timings), kZeroCopyOnly);
 }
 
 TEST(CostModel, CascadeStatsUseMeasuredCosts) {

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ops/concat.hpp"
 #include "ops/lookup.hpp"
 #include "ops/scale.hpp"
 #include "ops/string_ops.hpp"
 #include "ops/tfidf.hpp"
+#include "workloads/credit.hpp"
+#include "workloads/music.hpp"
+#include "workloads/price.hpp"
+#include "workloads/product.hpp"
+#include "workloads/toxic.hpp"
+#include "workloads/tracking.hpp"
 
 namespace willump::core {
 namespace {
@@ -270,6 +279,60 @@ TEST(Executors, EmptyBatchProducesEmptyBlocks) {
   batch.add("title", data::Column(data::StringColumn{}));
   const auto m = ex.compute_matrix(batch);
   EXPECT_EQ(m.rows(), 0u);
+}
+
+/// Bit-exact equality, storage kind included: the compiled engine must be
+/// indistinguishable from the interpreted oracle, not merely close.
+void expect_bit_equal(const data::FeatureMatrix& got,
+                      const data::FeatureMatrix& ref) {
+  ASSERT_EQ(got.rows(), ref.rows());
+  ASSERT_EQ(got.cols(), ref.cols());
+  ASSERT_EQ(got.is_dense(), ref.is_dense());
+  if (got.is_dense()) {
+    for (std::size_t r = 0; r < got.rows(); ++r) {
+      const auto a = got.dense().row(r);
+      const auto b = ref.dense().row(r);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "row " << r;
+    }
+  } else {
+    for (std::size_t r = 0; r < got.rows(); ++r) {
+      ASSERT_EQ(got.sparse().row_vector(r), ref.sparse().row_vector(r))
+          << "row " << r;
+    }
+  }
+}
+
+/// The six workload pipelines at small split sizes (the graphs are what
+/// matters here, not model quality).
+std::vector<workloads::Workload> small_workloads() {
+  const workloads::SplitSizes sizes{.train = 200, .valid = 60, .test = 60};
+  std::vector<workloads::Workload> out;
+  out.push_back(workloads::make_toxic({.sizes = sizes}));
+  out.push_back(workloads::make_price({.sizes = sizes}));
+  out.push_back(workloads::make_music({.sizes = sizes}));
+  out.push_back(workloads::make_credit({.sizes = sizes}));
+  out.push_back(workloads::make_product({.sizes = sizes}));
+  out.push_back(workloads::make_tracking({.sizes = sizes}));
+  return out;
+}
+
+TEST(Executors, CompiledMatchesInterpretedOracleOnWorkloadGraphs) {
+  for (const auto& wl : small_workloads()) {
+    SCOPED_TRACE(wl.name);
+    const Graph& g = wl.pipeline.graph;
+    InterpretedExecutor oracle(g, analyze_ifvs(g));
+    CompiledExecutor compiled(g, analyze_ifvs(g));
+    const data::Batch& batch = wl.test.inputs;
+    compiled.probe_layout(batch);
+    ExecOptions full;
+    full.fg_mask.assign(compiled.analysis().num_generators(), true);
+    const data::FeatureMatrix ref = oracle.compute_matrix(batch, full);
+    for (const bool zero_copy : {false, true}) {
+      SCOPED_TRACE(zero_copy ? "zero_copy on" : "zero_copy off");
+      compiled.set_featureop_config({.zero_copy = zero_copy});
+      expect_bit_equal(compiled.compute_matrix(batch, full), ref);
+    }
+  }
 }
 
 }  // namespace

@@ -4,14 +4,15 @@
 // The contract mirrors the prediction-kernel layer's (test_kernels.cpp):
 // every feature-op variant is BIT-EXACT with its row-wise reference, so the
 // assertions here are EXPECT_EQ on doubles, not tolerances —
-//  - blocked TF-IDF (transform_into, either vocabulary-lookup strategy)
-//    reproduces transform_one's arithmetic per document;
+//  - blocked TF-IDF (transform_into) reproduces transform_one's arithmetic
+//    per document;
 //  - the compiled executor's zero-copy planned assembly (dense plan,
-//    single-sparse plan, mixed fused concat, any block_rows) produces the
-//    same matrix as the reference compute_blocks + pairwise-hconcat path,
-//    full and masked, including the post-concatenation chain;
+//    single-sparse plan, mixed fused concat) produces the same matrix as
+//    the reference compute_blocks + pairwise-hconcat path, full and masked,
+//    including the post-concatenation chain;
 //  - sparse GBDT CSR traversal == densify-block traversal == dense input;
-//  - op-level configs round-trip exactly and corrupt bytes are rejected;
+//  - op-level configs round-trip exactly, bytes carrying retired choices
+//    load onto the survivor, and corrupt bytes are rejected;
 //  - a saved artifact cold-starts with the executor's tuned/forced
 //    feature-op config installed.
 
@@ -40,12 +41,12 @@
 #include "serialize/artifact.hpp"
 #include "serialize/buffer.hpp"
 #include "serialize/error.hpp"
+#include "workloads/price.hpp"
 
 namespace willump {
 namespace {
 
 using kernels::FeatureOpConfig;
-using kernels::LookupVariant;
 
 // --- corpus helpers --------------------------------------------------------
 
@@ -116,23 +117,19 @@ void expect_bit_equal(const data::FeatureMatrix& got,
 // Blocked TF-IDF vs the per-document reference.
 // ---------------------------------------------------------------------------
 
-TEST(TfIdfBlocked, BothLookupsMatchTransformOneBitExact) {
+TEST(TfIdfBlocked, MatchesTransformOneBitExact) {
   common::Rng rng(41);
   for (const auto analyzer : {ops::Analyzer::Word, ops::Analyzer::Char}) {
     const ops::TfIdfModel m = fitted_tfidf(analyzer, rng);
     for (const std::size_t n : {1u, 7u, 64u, 1000u}) {
       const data::StringColumn docs = random_docs(n, rng);
-      for (const auto lookup :
-           {LookupVariant::HashMap, LookupVariant::SortedVocab}) {
-        ops::TfIdfScratch scratch;
-        data::CsrMatrix out(m.vocabulary_size());
-        m.transform_into(docs, lookup, scratch, out);
-        ASSERT_EQ(out.rows(), n);
-        for (std::size_t r = 0; r < n; ++r) {
-          ASSERT_EQ(out.row_vector(r), m.transform_one(docs[r]))
-              << "n=" << n << " row=" << r
-              << " lookup=" << kernels::variant_name(lookup);
-        }
+      ops::TfIdfScratch scratch;
+      data::CsrMatrix out(m.vocabulary_size());
+      m.transform_into(docs, scratch, out);
+      ASSERT_EQ(out.rows(), n);
+      for (std::size_t r = 0; r < n; ++r) {
+        ASSERT_EQ(out.row_vector(r), m.transform_one(docs[r]))
+            << "n=" << n << " row=" << r;
       }
     }
   }
@@ -149,21 +146,18 @@ TEST(TfIdfBlocked, BatchTransformDelegatesToBlockedPath) {
   }
 }
 
-TEST(TfIdfBlocked, CopiedModelKeepsBothLookupStrategiesValid) {
+TEST(TfIdfBlocked, CopiedModelKeepsLookupValid) {
   // terms_ holds views into the vocabulary's key nodes; a copy allocates
   // fresh nodes, so the copy must rebuild its index instead of dangling.
   common::Rng rng(47);
   const ops::TfIdfModel original = fitted_tfidf(ops::Analyzer::Word, rng);
   const ops::TfIdfModel copy = original;  // NOLINT(performance-unnecessary-copy)
   const data::StringColumn docs = random_docs(32, rng);
-  for (const auto lookup :
-       {LookupVariant::HashMap, LookupVariant::SortedVocab}) {
-    ops::TfIdfScratch scratch;
-    data::CsrMatrix out(copy.vocabulary_size());
-    copy.transform_into(docs, lookup, scratch, out);
-    for (std::size_t r = 0; r < docs.size(); ++r) {
-      EXPECT_EQ(out.row_vector(r), original.transform_one(docs[r]));
-    }
+  ops::TfIdfScratch scratch;
+  data::CsrMatrix out(copy.vocabulary_size());
+  copy.transform_into(docs, scratch, out);
+  for (std::size_t r = 0; r < docs.size(); ++r) {
+    EXPECT_EQ(out.row_vector(r), original.transform_one(docs[r]));
   }
 }
 
@@ -250,7 +244,7 @@ data::Batch numeric_batch(std::size_t rows, std::uint64_t seed) {
 }
 
 /// Compare the zero-copy planner against the forced-off reference on one
-/// executor, full and masked, across lookup variants and block_rows sizes.
+/// executor, full or masked.
 void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
                                         const std::vector<bool>& mask) {
   core::CompiledExecutor ex(g, core::analyze_ifvs(g));
@@ -258,19 +252,10 @@ void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
   core::ExecOptions opts;
   opts.fg_mask = mask;
 
-  FeatureOpConfig off;
-  off.zero_copy = false;
-  ex.set_featureop_config(off);
+  ex.set_featureop_config({.zero_copy = false});
   const data::FeatureMatrix ref = ex.compute_matrix(batch, opts);
-
-  for (const auto lookup :
-       {LookupVariant::HashMap, LookupVariant::SortedVocab}) {
-    for (const std::uint32_t block_rows : {1u, 3u, 256u}) {
-      FeatureOpConfig on{lookup, block_rows, true};
-      ex.set_featureop_config(on);
-      expect_bit_equal(ex.compute_matrix(batch, opts), ref);
-    }
-  }
+  ex.set_featureop_config({.zero_copy = true});
+  expect_bit_equal(ex.compute_matrix(batch, opts), ref);
 }
 
 TEST(ZeroCopy, MixedPlanMatchesReferenceBitExact) {
@@ -388,11 +373,45 @@ TEST(GbdtSparse, CsrAndDensifyTraversalsMatchDenseBitExact) {
 // ---------------------------------------------------------------------------
 
 TEST(FeatureOpConfigSerialize, RoundTripsExactly) {
-  const FeatureOpConfig cfg{LookupVariant::SortedVocab, 4096, false};
-  serialize::Writer w;
-  kernels::save_featureop_config(w, cfg);
-  serialize::Reader r(w.bytes());
-  EXPECT_EQ(kernels::load_featureop_config(r), cfg);
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    for (const bool zero_copy : {false, true}) {
+      const FeatureOpConfig cfg{.zero_copy = zero_copy};
+      serialize::Writer w(version);
+      kernels::save_featureop_config(w, cfg);
+      EXPECT_EQ(w.bytes().size(), version >= 4 ? 7u : 6u);
+      serialize::Reader r(w.bytes(), version);
+      EXPECT_EQ(kernels::load_featureop_config(r), cfg);
+      EXPECT_TRUE(r.at_end());
+    }
+  }
+}
+
+TEST(FeatureOpConfigSerialize, RetiredValuesLoadOntoSurvivor) {
+  // Artifacts tuned before the lookup / block_rows / one-hot choices were
+  // retired carry their old picks; each was bit-exact with its survivor,
+  // so the bytes load to the same config as the survivor's bytes.
+  const auto load = [](std::uint32_t version, std::uint8_t lookup,
+                       std::uint32_t block_rows, std::uint8_t zero_copy,
+                       std::uint8_t onehot) {
+    serialize::Writer w(version);
+    w.u8(lookup);
+    w.u32(block_rows);
+    w.u8(zero_copy);
+    if (version >= 4) w.u8(onehot);
+    serialize::Reader r(w.bytes(), version);
+    const FeatureOpConfig c = kernels::load_featureop_config(r);
+    EXPECT_TRUE(r.at_end());
+    return c;
+  };
+  for (const std::uint8_t zc : {0, 1}) {
+    const FeatureOpConfig survivor{.zero_copy = zc != 0};
+    EXPECT_EQ(load(4, 0, 256, zc, 1), survivor);   // the survivor's own bytes
+    EXPECT_EQ(load(4, 1, 256, zc, 1), survivor);   // sorted-vocab lookup
+    EXPECT_EQ(load(4, 0, 256, zc, 0), survivor);   // scalar one-hot
+    EXPECT_EQ(load(4, 0, 64, zc, 1), survivor);    // block_rows 64
+    EXPECT_EQ(load(4, 1, 1024, zc, 0), survivor);  // all retired at once
+    EXPECT_EQ(load(3, 1, 64, zc, 0), survivor);    // 6-byte v3 form, no one-hot
+  }
 }
 
 TEST(FeatureOpConfigSerialize, RejectsOutOfRangeValues) {
@@ -435,13 +454,11 @@ TEST(FeatureOpAutotune, InstallsWinnerAndRecordsCandidates) {
       core::tune_feature_ops(ex, batch, cfg, &timings);
   EXPECT_EQ(ex.featureop_config(), winner);
 
-  bool saw_lookup = false, saw_zero_copy = false;
-  for (const auto& t : timings) {
-    saw_lookup = saw_lookup || t.name.rfind("ops/lookup:", 0) == 0;
-    saw_zero_copy = saw_zero_copy || t.name.rfind("ops/zero_copy:", 0) == 0;
-  }
-  EXPECT_TRUE(saw_lookup);  // the graph has TF-IDF, so lookup was timed
-  EXPECT_TRUE(saw_zero_copy);
+  // Zero-copy assembly is the only op-level choice left to time.
+  std::vector<std::string> names;
+  for (const auto& t : timings) names.push_back(t.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"ops/zero_copy:off",
+                                             "ops/zero_copy:on"}));
 }
 
 core::LabeledData labeled_strings(std::size_t rows, std::uint64_t seed) {
@@ -465,7 +482,7 @@ TEST(FeatureOpArtifact, ForcedConfigColdStartsFromBytes) {
 
   core::OptimizeOptions opts;
   opts.autotune_kernels = false;
-  const FeatureOpConfig forced{LookupVariant::SortedVocab, 64, false};
+  const FeatureOpConfig forced{.zero_copy = false};
   opts.featureop_config = forced;
 
   const auto optimized =
@@ -509,6 +526,31 @@ TEST(FeatureOpArtifact, AutotunedConfigColdStartsFromBytes) {
 
   const data::Batch test = string_batch(25, 131);
   EXPECT_EQ(loaded.predict(test), optimized.predict(test));
+}
+
+TEST(FeatureOpArtifact, V3PriceArtifactPredictsBitIdentically) {
+  // Price hashes one-hots. A v3 artifact has no one-hot byte, so its reader
+  // once installed the retired Scalar shape; it now serves the batched
+  // survivor and must still reproduce the in-memory pipeline bit for bit.
+  workloads::PriceConfig cfg;
+  cfg.sizes = {.train = 500, .valid = 200, .test = 200};
+  cfg.name_tfidf_features = 200;
+  const auto wl = workloads::make_price(cfg);
+
+  core::OptimizeOptions opts;
+  opts.autotune.reps = 1;
+  opts.autotune.sample_rows = 64;
+  const auto optimized =
+      core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
+  ASSERT_TRUE(optimized.autotune_report().tuned_ops);
+
+  const auto loaded = serialize::pipeline_from_bytes(
+      serialize::pipeline_to_bytes(optimized, 3));
+  const auto* compiled =
+      dynamic_cast<const core::CompiledExecutor*>(&loaded.executor());
+  ASSERT_NE(compiled, nullptr);
+  EXPECT_EQ(compiled->featureop_config(), optimized.autotune_report().ops);
+  EXPECT_EQ(loaded.predict(wl.test.inputs), optimized.predict(wl.test.inputs));
 }
 
 }  // namespace

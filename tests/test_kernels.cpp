@@ -396,7 +396,7 @@ TEST(AutotuneReportSerialize, RoundTripsExactly) {
   rep.has_small = true;
   rep.small = {DotVariant::Unrolled, TreeVariant::RowWise, 1};
   rep.tuned_ops = true;
-  rep.ops = {kernels::LookupVariant::SortedVocab, 512, false};
+  rep.ops = {.zero_copy = false};
   rep.timings = {{"full/dot:avx2", 1.5e-4}, {"small/tree:rowwise", 2.5e-5}};
 
   serialize::Writer w;

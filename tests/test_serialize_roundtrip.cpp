@@ -209,6 +209,9 @@ TEST(SerializeRoundtrip, V3ArtifactsLoadBitIdenticallyUnderV4Reader) {
   // legacy writer path is stable, so codec kill-switch artifacts stay
   // byte-for-byte reproducible.
   EXPECT_EQ(serialize::pipeline_to_bytes(from_v3, 3), v3_bytes);
+  // The v4 writer derives the front-coded vocabulary order on save, so the
+  // v4 load re-serializes to the same bytes as well.
+  EXPECT_EQ(serialize::pipeline_to_bytes(from_v4), v4_bytes);
 }
 
 TEST(SerializeRoundtrip, SplitBundleRoundTripsRawSplits) {
