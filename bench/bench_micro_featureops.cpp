@@ -123,55 +123,77 @@ data::CsrMatrix transform_old_shape(const ops::TfIdfModel& m,
   return out;
 }
 
-/// Section 1: blocked TF-IDF vs the per-document reference. The blocked
-/// kernel reuses one scratch (dense counts + touched list + string_view
-/// tokenization) across the whole column; the reference pays a gram vector,
-/// a count map, and a row allocation per document.
+/// Section 1: blocked TF-IDF vs the per-document reference, on a word
+/// {1,1} arm and a char {3,5} arm (Toxic's two vectorizers). The blocked
+/// kernel reuses one scratch (dense counts + hit bitset + tokenizer
+/// buffers) across the whole column and probes a flat vocabulary table
+/// (packed integer keys for char n-grams up to 7 bytes); the reference
+/// pays a gram vector, a count map, a sort and a row allocation per
+/// document.
 void bench_tfidf() {
   std::printf("\n-- TF-IDF transform (blocked vs per-document) --\n");
   common::Rng rng(31);
   const auto pool = word_pool(3000, rng);
   const std::size_t fit_docs = smoke() ? 400 : 4000;
   const std::size_t bench_docs = smoke() ? 500 : 8000;
-
-  ops::TfIdfConfig cfg;
-  cfg.min_df = 1;
-  cfg.max_features = 4000;
-  cfg.use_idf = false;  // lets the reference skip the private idf table
-  const ops::TfIdfModel model =
-      ops::TfIdfModel::fit(make_docs(fit_docs, pool, rng, 40), cfg);
+  const data::StringColumn fit_corpus = make_docs(fit_docs, pool, rng, 40);
   const data::StringColumn docs = make_docs(bench_docs, pool, rng, 40);
   const std::span<const std::string> span(docs.data(), docs.size());
 
-  // Parity first: the timed paths must agree bit-exactly.
-  const data::CsrMatrix ref_rows = transform_old_shape(model, docs);
-  std::size_t mismatches = 0;
-  {
+  struct Arm {
+    const char* name;
+    ops::Analyzer analyzer;
+    ops::NgramRange ngrams;
+  };
+  const Arm arms[] = {{"word {1,1}", ops::Analyzer::Word, {1, 1}},
+                      {"char {3,5}", ops::Analyzer::Char, {3, 5}}};
+  std::vector<std::vector<std::string>> rows;
+  for (const Arm& arm : arms) {
+    ops::TfIdfConfig cfg;
+    cfg.analyzer = arm.analyzer;
+    cfg.ngrams = arm.ngrams;
+    cfg.min_df = 1;
+    cfg.max_features = 4000;
+    cfg.use_idf = false;  // lets the reference skip the private idf table
+    const ops::TfIdfModel model = ops::TfIdfModel::fit(fit_corpus, cfg);
+
+    // Parity first: the timed paths must agree bit-exactly.
+    const data::CsrMatrix ref_rows = transform_old_shape(model, docs);
+    std::size_t mismatches = 0;
+    {
+      ops::TfIdfScratch scratch;
+      data::CsrMatrix blocked(model.vocabulary_size());
+      model.transform_into(span, scratch, blocked);
+      for (std::size_t r = 0; r < docs.size(); ++r) {
+        if (!(blocked.row_vector(r) == ref_rows.row_vector(r))) ++mismatches;
+      }
+    }
+    std::printf("parity %s: %zu mismatched rows (must be 0)\n", arm.name,
+                mismatches);
+    check_trend(mismatches == 0,
+                (std::string("blocked TF-IDF bit-exact with per-doc rows, ") +
+                 arm.name)
+                    .c_str());
+
+    const double per_doc = throughput_rows_per_sec(
+        bench_docs, reps(), [&] { (void)transform_old_shape(model, docs); });
     ops::TfIdfScratch scratch;
-    data::CsrMatrix blocked(model.vocabulary_size());
-    model.transform_into(span, scratch, blocked);
-    for (std::size_t r = 0; r < docs.size(); ++r) {
-      if (!(blocked.row_vector(r) == ref_rows.row_vector(r))) ++mismatches;
+    const double blocked = throughput_rows_per_sec(bench_docs, reps(), [&] {
+      data::CsrMatrix out(model.vocabulary_size());
+      model.transform_into(span, scratch, out);
+    });
+    rows.push_back({arm.name, "per-doc", fmt("%.0f", per_doc), "1.00x"});
+    rows.push_back({arm.name, "blocked", fmt("%.0f", blocked),
+                    fmt("%.2fx", blocked / per_doc)});
+    // The floor is the word arm's; the char arm only reports its numbers.
+    if (arm.analyzer == ops::Analyzer::Word) {
+      check_trend(blocked >= 2.0 * per_doc,
+                  "blocked TF-IDF >= 2x per-document scalar");
     }
   }
-  std::printf("parity: %zu mismatched rows (must be 0)\n", mismatches);
-  check_trend(mismatches == 0, "blocked TF-IDF bit-exact with per-doc rows");
-
-  TablePrinter table({"path", "docs/s", "vs per-doc"});
+  TablePrinter table({"arm", "path", "docs/s", "vs per-doc"});
   table.print_header();
-  const double per_doc = throughput_rows_per_sec(
-      bench_docs, reps(), [&] { (void)transform_old_shape(model, docs); });
-  table.print_row({"per-doc", fmt("%.0f", per_doc), "1.00x"});
-
-  ops::TfIdfScratch scratch;
-  const double blocked = throughput_rows_per_sec(bench_docs, reps(), [&] {
-    data::CsrMatrix out(model.vocabulary_size());
-    model.transform_into(span, scratch, out);
-  });
-  table.print_row(
-      {"blocked", fmt("%.0f", blocked), fmt("%.2fx", blocked / per_doc)});
-  check_trend(blocked >= 2.0 * per_doc,
-              "blocked TF-IDF >= 2x per-document scalar");
+  for (const auto& row : rows) table.print_row(row);
 }
 
 /// Section 2: wide-sparse GBDT traversal. The densify path scatters each

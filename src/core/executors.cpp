@@ -785,7 +785,9 @@ void fused_sparse_concat(const std::vector<const data::FeatureMatrix*>& blocks,
   }
   out.reset(static_cast<std::int32_t>(total_cols));
   out.reserve(rows, nnz_guess);
-  std::vector<data::SparseEntry> row;
+  // Per-thread row buffer: keeps its capacity across calls, so a steady
+  // stream of small batches does not regrow it entry by entry.
+  thread_local std::vector<data::SparseEntry> row;
   for (std::size_t r = 0; r < rows; ++r) {
     row.clear();
     std::int32_t col_off = 0;
@@ -925,6 +927,7 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
   // one-pass k-way concat instead of the pairwise fold.
   std::vector<data::FeatureMatrix> computed(num_fg);
   std::vector<const data::FeatureMatrix*> parts;
+  parts.reserve(selected.size());
   bool any_sparse = false;
   std::size_t total_cols = 0;
   for (std::size_t f : selected) {

@@ -59,11 +59,19 @@ CsrMatrix CsrMatrix::from_rows(std::int32_t cols, const std::vector<SparseVector
 }
 
 void CsrMatrix::append_row(std::span<const SparseEntry> entries) {
-  for (const auto& e : entries) {
-    indices_.push_back(e.index);
-    values_.push_back(e.value);
+  // Grow both strips once per row (resize keeps vector's geometric
+  // growth), then fill through raw pointers: no per-entry push_back.
+  const std::size_t base = indices_.size();
+  const std::size_t n = entries.size();
+  indices_.resize(base + n);
+  values_.resize(base + n);
+  std::int32_t* const idx = indices_.data() + base;
+  double* const val = values_.data() + base;
+  for (std::size_t k = 0; k < n; ++k) {
+    idx[k] = entries[k].index;
+    val[k] = entries[k].value;
   }
-  indptr_.push_back(indices_.size());
+  indptr_.push_back(base + n);
 }
 
 CsrMatrix::RowView CsrMatrix::row(std::size_t r) const {

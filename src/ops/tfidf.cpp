@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -10,7 +11,42 @@
 
 namespace willump::ops {
 
+namespace {
+
+/// Fibonacci multiplier for the packed table's multiply-shift hash.
+constexpr std::uint64_t kPackedMul = 0x9E3779B97F4A7C15ull;
+
+/// The first min(n, 8) bytes at p as a little-endian integer (zero above).
+std::uint64_t load_le(const unsigned char* p, std::size_t n) {
+  std::uint64_t w = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n >= 8) {
+      std::memcpy(&w, p, 8);
+      return w;
+    }
+  }
+  const std::size_t k_end = std::min<std::size_t>(n, 8);
+  for (std::size_t k = 0; k < k_end; ++k) {
+    w |= std::uint64_t{p[k]} << (8 * k);
+  }
+  return w;
+}
+
+/// Low `n` bytes of `w` (n in [1, 7]) tagged with n in the top byte.
+std::uint64_t packed_key(std::uint64_t w, std::size_t n) {
+  return (w & ((std::uint64_t{1} << (8 * n)) - 1)) |
+         (static_cast<std::uint64_t>(n) << 56);
+}
+
+}  // namespace
+
 TfIdfModel TfIdfModel::fit(const data::StringColumn& corpus, TfIdfConfig cfg) {
+  if (cfg.ngrams.min_n < 1 || cfg.ngrams.max_n < cfg.ngrams.min_n ||
+      cfg.ngrams.max_n > TfIdfConfig::kMaxNgramN) {
+    throw std::invalid_argument(
+        "tfidf: ngram range must satisfy 1 <= min_n <= max_n <= " +
+        std::to_string(TfIdfConfig::kMaxNgramN));
+  }
   TfIdfModel m;
   m.cfg_ = cfg;
 
@@ -79,6 +115,28 @@ void TfIdfModel::finalize_index() {
     while (flat_[s].idx != -1) s = (s + 1) & flat_mask_;
     flat_[s] = {h, i};
   }
+
+  packed_.clear();
+  if (cfg_.analyzer != Analyzer::Char || cfg_.ngrams.max_n > kMaxPackedN) {
+    return;
+  }
+  packed_.assign(slots, {});
+  packed_shift_ = 64 - std::countr_zero(slots);
+  for (std::int32_t i = 0; i < dim_; ++i) {
+    const std::string_view t = terms_[static_cast<std::size_t>(i)];
+    // Only lengths the counter probes can ever hit (a loaded vocabulary is
+    // free-form); the string table above skips the rest the same way.
+    if (t.size() < static_cast<std::size_t>(cfg_.ngrams.min_n) ||
+        t.size() > static_cast<std::size_t>(cfg_.ngrams.max_n)) {
+      continue;
+    }
+    const std::uint64_t key = packed_key(
+        load_le(reinterpret_cast<const unsigned char*>(t.data()), t.size()),
+        t.size());
+    std::size_t s = (key * kPackedMul) >> packed_shift_;
+    while (packed_[s].key != 0) s = (s + 1) & flat_mask_;
+    packed_[s] = {key, i};
+  }
 }
 
 std::int32_t TfIdfModel::term_index(std::string_view term) const {
@@ -88,13 +146,45 @@ std::int32_t TfIdfModel::term_index(std::string_view term) const {
 
 void TfIdfModel::count_terms(std::string_view doc,
                              TfIdfScratch& scratch) const {
-  scratch.counts.resize(static_cast<std::size_t>(dim_), 0.0);
-  scratch.touched.clear();
-  auto hit = [&](std::int32_t idx) {
-    double& c = scratch.counts[static_cast<std::size_t>(idx)];
-    if (c == 0.0) scratch.touched.push_back(idx);
-    c += 1.0;
+  const auto dim = static_cast<std::size_t>(dim_);
+  scratch.counts.resize(dim, 0.0);
+  scratch.hit_bits.resize((dim + 63) / 64, 0);
+  double* const counts = scratch.counts.data();
+  std::uint64_t* const bits = scratch.hit_bits.data();
+  auto hit = [counts, bits](std::int32_t idx) {
+    const auto i = static_cast<std::size_t>(idx);
+    counts[i] += 1.0;
+    bits[i >> 6] |= std::uint64_t{1} << (i & 63);
   };
+
+  if (!packed_.empty()) {
+    // One pass over positions: load up to 8 bytes once, then probe every
+    // n in [min_n, max_n] that fits before the end of the document.
+    // Counts are integer-valued, so position-major order sums the same.
+    const auto* p = reinterpret_cast<const unsigned char*>(doc.data());
+    const std::size_t size = doc.size();
+    const auto min_n = static_cast<std::size_t>(cfg_.ngrams.min_n);
+    const auto max_n = static_cast<std::size_t>(cfg_.ngrams.max_n);
+    const PackedSlot* const table = packed_.data();
+    for (std::size_t i = 0; i + min_n <= size; ++i) {
+      const std::size_t avail = size - i;
+      const std::uint64_t w = load_le(p + i, avail);
+      const std::size_t top = std::min(max_n, avail);
+      for (std::size_t n = min_n; n <= top; ++n) {
+        const std::uint64_t key = packed_key(w, n);
+        for (std::size_t s = (key * kPackedMul) >> packed_shift_;;
+             s = (s + 1) & flat_mask_) {
+          if (table[s].key == key) {
+            hit(table[s].idx);
+            break;
+          }
+          if (table[s].key == 0) break;
+        }
+      }
+    }
+    return;
+  }
+
   for_each_ngram_t(doc, cfg_.analyzer, cfg_.ngrams, scratch.tok,
                    [&](std::string_view g) {
                      const std::uint64_t h = std::hash<std::string_view>{}(g);
@@ -111,15 +201,25 @@ void TfIdfModel::count_terms(std::string_view doc,
 }
 
 void TfIdfModel::build_row(TfIdfScratch& scratch) const {
-  // Index-sorted entries; zeroing each touched slot restores the counts
-  // all-zeros invariant for the next document.
-  std::sort(scratch.touched.begin(), scratch.touched.end());
+  // Set bits in word order are the hit indices in ascending order, so the
+  // row comes out index-sorted with no sort; clearing each word and each
+  // emitted count restores the all-zeros invariant for the next document.
   scratch.row.clear();
-  for (const std::int32_t idx : scratch.touched) {
-    double& c = scratch.counts[static_cast<std::size_t>(idx)];
-    const double tf = cfg_.sublinear_tf ? 1.0 + std::log(c) : c;
-    scratch.row.push_back({idx, tf * idf_[static_cast<std::size_t>(idx)]});
-    c = 0.0;
+  double* const counts = scratch.counts.data();
+  std::uint64_t* const bits = scratch.hit_bits.data();
+  const std::size_t words = scratch.hit_bits.size();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t b = bits[w];
+    if (b == 0) continue;
+    bits[w] = 0;
+    for (; b != 0; b &= b - 1) {
+      const std::size_t idx =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(b));
+      const double c = counts[idx];
+      counts[idx] = 0.0;
+      const double tf = cfg_.sublinear_tf ? 1.0 + std::log(c) : c;
+      scratch.row.push_back({static_cast<std::int32_t>(idx), tf * idf_[idx]});
+    }
   }
   if (cfg_.l2_normalize) {
     // Same arithmetic as SparseVector::l2_norm + scale(1/norm): sum of
@@ -227,7 +327,8 @@ TfIdfModel TfIdfModel::load(serialize::Reader& r) {
   m.cfg_.use_idf = r.u8() != 0;
   m.cfg_.sublinear_tf = r.u8() != 0;
   m.cfg_.l2_normalize = r.u8() != 0;
-  if (m.cfg_.ngrams.min_n < 1 || m.cfg_.ngrams.max_n < m.cfg_.ngrams.min_n) {
+  if (m.cfg_.ngrams.min_n < 1 || m.cfg_.ngrams.max_n < m.cfg_.ngrams.min_n ||
+      m.cfg_.ngrams.max_n > TfIdfConfig::kMaxNgramN) {
     throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
                                     "tfidf ngram range invalid");
   }

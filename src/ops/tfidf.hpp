@@ -32,18 +32,23 @@ struct TransparentStringHash {
 };
 
 /// Per-worker scratch for batched TF-IDF transforms: a dense count array
-/// with an all-zeros invariant (only `touched` slots are ever nonzero, and
-/// they are re-zeroed after each document), the touched-index list, the
+/// and a hit bitset, both all-zero between documents (only slots a
+/// document hits are ever nonzero, and the row builder re-zeroes them), the
 /// assembled entry row, and tokenizer buffers. One allocation steady-state.
 struct TfIdfScratch {
-  std::vector<double> counts;          // dim_ slots, all-zero between docs
-  std::vector<std::int32_t> touched;   // vocab indices hit by this doc
-  std::vector<data::SparseEntry> row;  // assembled (index, tf*idf) entries
+  std::vector<double> counts;           // dim_ slots, all-zero between docs
+  std::vector<std::uint64_t> hit_bits;  // bit i set iff counts[i] != 0
+  std::vector<data::SparseEntry> row;   // assembled (index, tf*idf) entries
   TokenizerScratch tok;
 };
 
 /// TF-IDF vectorizer settings (scikit-learn-compatible subset).
 struct TfIdfConfig {
+  /// Largest accepted `ngrams.max_n`: `fit` throws std::invalid_argument
+  /// and `load` throws SerializeError(CorruptData) above it, so a corrupt
+  /// artifact cannot make every transform walk billions of n-gram lengths.
+  static constexpr int kMaxNgramN = 64;
+
   Analyzer analyzer = Analyzer::Word;
   NgramRange ngrams{1, 1};
   int max_features = 4000;  // keep the most frequent terms
@@ -107,17 +112,17 @@ class TfIdfModel {
   static TfIdfModel load(serialize::Reader& r);
 
  private:
-  /// Rebuild terms_ and the flat probe table from vocab_ (after fit or
-  /// load).
+  /// Rebuild terms_ and the probe tables (flat_, plus packed_ when the
+  /// config qualifies) from vocab_ (after fit, load or copy).
   void finalize_index();
 
   /// Accumulate one document's vocab-hit counts into scratch (counts +
-  /// touched); counts must be dim_ zeros on entry.
+  /// hit_bits); both must be all-zero on entry.
   void count_terms(std::string_view doc, TfIdfScratch& scratch) const;
 
-  /// Turn accumulated counts into the sorted tf·idf entry row in
-  /// scratch.row (l2-normalized per config) and restore the counts
-  /// all-zeros invariant.
+  /// Turn accumulated counts into the index-ordered tf·idf entry row in
+  /// scratch.row (l2-normalized per config) and restore the counts and
+  /// hit_bits all-zeros invariant.
   void build_row(TfIdfScratch& scratch) const;
 
   TfIdfConfig cfg_;
@@ -141,6 +146,18 @@ class TfIdfModel {
   };
   std::vector<FlatSlot> flat_;  // power-of-two size, >= 2x load headroom
   std::uint64_t flat_mask_ = 0;
+
+  /// Packed char n-gram probe table, built only for Analyzer::Char with
+  /// max_n <= kMaxPackedN (empty otherwise). A key is the n-gram's bytes
+  /// little-endian OR'd with `len << 56`, so it identifies the n-gram
+  /// exactly: probes compare one integer and never touch the term strings.
+  static constexpr int kMaxPackedN = 7;
+  struct PackedSlot {
+    std::uint64_t key = 0;  // 0 = empty (a real key has len >= 1)
+    std::int32_t idx = -1;
+  };
+  std::vector<PackedSlot> packed_;  // flat_'s size, so flat_mask_ wraps it
+  int packed_shift_ = 64;           // multiply-shift: slot = (key*C) >> shift
 };
 
 /// Graph node applying a fitted TF-IDF model to a string column.

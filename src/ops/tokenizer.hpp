@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <string>
@@ -35,13 +36,14 @@ struct TokenizerScratch {
 template <typename Sink>
 void for_each_ngram_t(std::string_view s, Analyzer analyzer, NgramRange range,
                       TokenizerScratch& scratch, Sink&& sink) {
+  // n runs over [max(min_n, 1), min(max_n, available units)]: a huge max_n
+  // costs nothing and the counter can never overflow.
+  const auto lo = static_cast<std::size_t>(std::max(range.min_n, 1));
+  const auto max_n = static_cast<std::size_t>(std::max(range.max_n, 0));
   if (analyzer == Analyzer::Char) {
-    for (int n = range.min_n; n <= range.max_n; ++n) {
-      if (n <= 0 || static_cast<std::size_t>(n) > s.size()) continue;
-      for (std::size_t i = 0; i + static_cast<std::size_t>(n) <= s.size();
-           ++i) {
-        sink(s.substr(i, static_cast<std::size_t>(n)));
-      }
+    const std::size_t hi = std::min(max_n, s.size());
+    for (std::size_t n = lo; n <= hi; ++n) {
+      for (std::size_t i = 0; i + n <= s.size(); ++i) sink(s.substr(i, n));
     }
     return;
   }
@@ -60,18 +62,17 @@ void for_each_ngram_t(std::string_view s, Analyzer analyzer, NgramRange range,
   }
 
   auto& buf = scratch.buf;
-  for (int n = range.min_n; n <= range.max_n; ++n) {
-    if (n <= 0 || static_cast<std::size_t>(n) > tokens.size()) continue;
+  const std::size_t hi = std::min(max_n, tokens.size());
+  for (std::size_t n = lo; n <= hi; ++n) {
     if (n == 1) {
       for (auto t : tokens) sink(t);
       continue;
     }
-    for (std::size_t k = 0; k + static_cast<std::size_t>(n) <= tokens.size();
-         ++k) {
+    for (std::size_t k = 0; k + n <= tokens.size(); ++k) {
       buf.clear();
-      for (int j = 0; j < n; ++j) {
+      for (std::size_t j = 0; j < n; ++j) {
         if (j > 0) buf.push_back(' ');
-        buf.append(tokens[k + static_cast<std::size_t>(j)]);
+        buf.append(tokens[k + j]);
       }
       sink(buf);
     }

@@ -5,7 +5,8 @@
 // every feature-op variant is BIT-EXACT with its row-wise reference, so the
 // assertions here are EXPECT_EQ on doubles, not tolerances —
 //  - blocked TF-IDF (transform_into) reproduces transform_one's arithmetic
-//    per document;
+//    per document, and both match an independent test-local oracle that
+//    shares no code with the kernel's counter or row builder;
 //  - the compiled executor's zero-copy planned assembly (dense plan,
 //    single-sparse plan, mixed fused concat) produces the same matrix as
 //    the reference compute_blocks + pairwise-hconcat path, full and masked,
@@ -18,9 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -158,6 +164,138 @@ TEST(TfIdfBlocked, CopiedModelKeepsLookupValid) {
   copy.transform_into(docs, scratch, out);
   for (std::size_t r = 0; r < docs.size(); ++r) {
     EXPECT_EQ(out.row_vector(r), original.transform_one(docs[r]));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Independent TF-IDF oracle. The kernel's counter and row builder are shared
+// by transform_into and transform_one, so the pair above cannot catch a bug
+// in them. The oracle gets n-grams from ngrams_of and vocabulary hits from
+// term_index (the vocabulary map, not the kernel's probe tables), counts in
+// a string map, sorts by index, applies the smoothed idf recomputed from the
+// fit corpus, then l2-normalizes.
+// ---------------------------------------------------------------------------
+
+/// Smoothed idf of every n-gram of the fit corpus (scikit-learn formula).
+std::map<std::string, double> oracle_idf(const data::StringColumn& corpus,
+                                         const ops::TfIdfConfig& cfg) {
+  std::map<std::string, double> df;
+  for (const auto& doc : corpus) {
+    const auto grams = ops::ngrams_of(doc, cfg.analyzer, cfg.ngrams);
+    for (const auto& g : std::set<std::string>(grams.begin(), grams.end())) {
+      df[g] += 1.0;
+    }
+  }
+  const double n_docs = static_cast<double>(corpus.size());
+  for (auto& [g, d] : df) d = std::log((1.0 + n_docs) / (1.0 + d)) + 1.0;
+  return df;
+}
+
+data::SparseVector oracle_row(const ops::TfIdfModel& m,
+                              const std::map<std::string, double>& idf,
+                              const std::string& doc) {
+  const ops::TfIdfConfig& cfg = m.config();
+  std::map<std::string, double> counts;
+  for (const auto& g : ops::ngrams_of(doc, cfg.analyzer, cfg.ngrams)) {
+    counts[g] += 1.0;
+  }
+  std::vector<data::SparseEntry> entries;
+  for (const auto& [term, c] : counts) {
+    const std::int32_t idx = m.term_index(term);
+    if (idx < 0) continue;
+    const double tf = cfg.sublinear_tf ? 1.0 + std::log(c) : c;
+    entries.push_back({idx, cfg.use_idf ? tf * idf.at(term) : tf});
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.index < b.index; });
+  if (cfg.l2_normalize) {
+    double sq = 0.0;
+    for (const auto& e : entries) sq += e.value * e.value;
+    const double norm = std::sqrt(sq);
+    if (norm > 0.0) {
+      const double inv = 1.0 / norm;
+      for (auto& e : entries) e.value *= inv;
+    }
+  }
+  return data::SparseVector(m.vocabulary_size(), std::move(entries));
+}
+
+/// Same indices and the same value bits, entry by entry.
+void expect_same_bits(const data::SparseVector& got,
+                      const data::SparseVector& want, const std::string& what) {
+  ASSERT_EQ(got.entries().size(), want.entries().size()) << what;
+  for (std::size_t k = 0; k < got.entries().size(); ++k) {
+    const auto& a = got.entries()[k];
+    const auto& b = want.entries()[k];
+    ASSERT_EQ(a.index, b.index) << what << " entry " << k;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(a.value),
+              std::bit_cast<std::uint64_t>(b.value))
+        << what << " entry " << k;
+  }
+}
+
+/// Words with bytes >= 0x80, embedded NULs and repeats, so the fitted
+/// vocabularies hold exactly the n-grams the edge-case docs probe.
+data::StringColumn oracle_corpus(std::size_t n, common::Rng& rng) {
+  using namespace std::string_literals;
+  const std::vector<std::string> extra{"caf\xc3\xa9"s, "\xff\xfe\x80"s,
+                                       "a\0b"s,       "nul\0\0end"s,
+                                       "aaaaaaaaa"s,   "abcabcabc"s};
+  data::StringColumn docs = random_docs(n, rng);
+  for (auto& d : docs) {
+    const std::size_t k = static_cast<std::size_t>(
+        rng.next_double() * static_cast<double>(extra.size()));
+    d += (rng.next_bernoulli(0.5) ? " " : "\t  ") + extra[k];
+  }
+  return docs;
+}
+
+TEST(TfIdfOracle, KernelMatchesIndependentReferenceBitExact) {
+  using namespace std::string_literals;
+  struct Case {
+    ops::Analyzer analyzer;
+    ops::NgramRange ngrams;
+  };
+  // char {1,7} and {6,9} sit on each side of the packed-key cutoff (7).
+  const Case cases[] = {{ops::Analyzer::Word, {1, 1}}, {ops::Analyzer::Word, {1, 2}},
+                        {ops::Analyzer::Char, {2, 3}}, {ops::Analyzer::Char, {3, 5}},
+                        {ops::Analyzer::Char, {1, 7}}, {ops::Analyzer::Char, {6, 9}}};
+  common::Rng rng(71);
+  const data::StringColumn corpus = oracle_corpus(120, rng);
+  data::StringColumn docs{
+      ""s,          " "s,          "a"s,           "ab"s,
+      "abcdefg"s,   "abcdefgh"s,   "caf\xc3\xa9"s, "\xff\xfe\x80\xff\xfe\x80"s,
+      "a\0b"s,      "\0\0\0\0\0\0\0\0"s, "nul\0\0end nul\0\0end"s,
+      "aaaaaaaaa"s, "abcabcabc abcabcabc"s,    "red red red red"s,
+      "the  fox\tthe fox"s};
+  for (const auto& d : oracle_corpus(60, rng)) docs.push_back(d);
+
+  for (const auto& c : cases) {
+    for (const bool plain : {false, true}) {
+      ops::TfIdfConfig cfg;
+      cfg.analyzer = c.analyzer;
+      cfg.ngrams = c.ngrams;
+      cfg.min_df = 1;
+      cfg.max_features = 0;  // every corpus n-gram is in the vocabulary
+      if (plain) {  // the other arithmetic branches
+        cfg.use_idf = false;
+        cfg.sublinear_tf = true;
+        cfg.l2_normalize = false;
+      }
+      const ops::TfIdfModel m = ops::TfIdfModel::fit(corpus, cfg);
+      const auto idf = oracle_idf(corpus, cfg);
+      const data::CsrMatrix batch = m.transform(docs);
+      ASSERT_EQ(batch.rows(), docs.size());
+      for (std::size_t r = 0; r < docs.size(); ++r) {
+        const std::string what =
+            std::string(c.analyzer == ops::Analyzer::Word ? "word {" : "char {") +
+            std::to_string(c.ngrams.min_n) + "," + std::to_string(c.ngrams.max_n) +
+            "}" + (plain ? " plain" : "") + " doc " + std::to_string(r);
+        const data::SparseVector want = oracle_row(m, idf, docs[r]);
+        expect_same_bits(batch.row_vector(r), want, what + " (batch)");
+        expect_same_bits(m.transform_one(docs[r]), want, what + " (one)");
+      }
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "models/gbdt.hpp"
@@ -310,6 +311,52 @@ TEST(SerializeReject, LookupWithoutTableSectionIsMissingSection) {
     FAIL() << "lookup op resolved a table that is not in the artifact";
   } catch (const SerializeError& e) {
     EXPECT_EQ(e.code(), ErrorCode::MissingSection);
+  }
+}
+
+TEST(SerializeReject, TfIdfNgramRangeAboveCapIsCorruptData) {
+  // A hand-written v4 char TF-IDF op whose only defect can be max_n: one
+  // term "ab", its sorted permutation, the decoded-vocabulary CRC, one idf.
+  const auto tfidf_op_bytes = [](std::int32_t max_n) {
+    serialize::Writer w;
+    w.str("tfidf");
+    w.str("char_tfidf");
+    w.u8(1);  // Analyzer::Char
+    w.i32(2);
+    w.i32(max_n);
+    w.i32(100);  // max_features
+    w.i32(1);    // min_df
+    w.u8(1);
+    w.u8(0);
+    w.u8(1);
+    w.varint(1);  // one term, front-coded: no shared prefix, suffix "ab"
+    w.varint(0);
+    w.varint(2);
+    w.u8('a');
+    w.u8('b');
+    w.varint(0);  // sorted position 0 -> vocab index 0
+    serialize::Writer probe;
+    probe.str("ab");
+    w.u32(serialize::crc32(probe.bytes()));
+    w.doubles(std::vector<double>{1.0});
+    return Bytes(w.bytes().begin(), w.bytes().end());
+  };
+  const serialize::OpLoadContext ctx;
+  for (const std::int32_t ok : {2, ops::TfIdfConfig::kMaxNgramN}) {
+    const Bytes bytes = tfidf_op_bytes(ok);
+    serialize::Reader r(bytes);
+    EXPECT_EQ(serialize::load_op(r, ctx)->name(), "char_tfidf") << ok;
+  }
+  for (const std::int32_t bad : {ops::TfIdfConfig::kMaxNgramN + 1,
+                                 std::numeric_limits<std::int32_t>::max()}) {
+    const Bytes bytes = tfidf_op_bytes(bad);
+    serialize::Reader r(bytes);
+    try {
+      (void)serialize::load_op(r, ctx);
+      FAIL() << "tfidf max_n " << bad << " accepted";
+    } catch (const SerializeError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::CorruptData) << bad;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "ops/tokenizer.hpp"
 
@@ -37,6 +39,14 @@ TEST(Tokenizer, CharNgramsIncludeSpaces) {
 TEST(Tokenizer, NgramLongerThanInputIsEmpty) {
   EXPECT_TRUE(ngrams_of("ab", Analyzer::Char, {5, 5}).empty());
   EXPECT_TRUE(ngrams_of("a b", Analyzer::Word, {3, 3}).empty());
+}
+
+TEST(Tokenizer, HugeMaxNStopsAtTheInputLength) {
+  // n is bounded by the input, so an unbounded range neither spins nor
+  // overflows its counter.
+  constexpr int kHuge = std::numeric_limits<int>::max();
+  EXPECT_EQ(ngrams_of("abc", Analyzer::Char, {2, kHuge}).size(), 3u);
+  EXPECT_EQ(ngrams_of("a b c", Analyzer::Word, {2, kHuge}).size(), 3u);
 }
 
 data::StringColumn corpus() {
@@ -126,6 +136,19 @@ TEST(TfIdf, CharAnalyzerProducesFeatures) {
   const auto m = TfIdfModel::fit(corpus(), cfg);
   EXPECT_GT(m.vocabulary_size(), 10);
   EXPECT_GT(m.transform_one("the cat").nnz(), 0u);
+}
+
+TEST(TfIdf, FitRejectsInvalidNgramRange) {
+  TfIdfConfig cfg;
+  cfg.min_df = 1;
+  cfg.analyzer = Analyzer::Char;
+  for (const NgramRange bad : {NgramRange{0, 2}, NgramRange{3, 2},
+                               NgramRange{1, TfIdfConfig::kMaxNgramN + 1}}) {
+    cfg.ngrams = bad;
+    EXPECT_THROW((void)TfIdfModel::fit(corpus(), cfg), std::invalid_argument);
+  }
+  cfg.ngrams = {1, TfIdfConfig::kMaxNgramN};
+  EXPECT_GT(TfIdfModel::fit(corpus(), cfg).vocabulary_size(), 0);
 }
 
 TEST(TfIdf, OpValidatesInput) {
