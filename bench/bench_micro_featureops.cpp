@@ -1,14 +1,16 @@
 // Microbenchmark of the feature-operator kernel layer (DESIGN.md §10): the
-// batched TF-IDF transform, the sparse-GBDT traversal that skips per-block
-// densification, and the zero-copy planned feature assembly — the
-// feature-side counterpart of bench_micro_kernels' model-side sections.
-// Each section times the same fitted state under the pre-kernel code shape
-// (per-document std::string n-grams + unordered_map counts + append_row;
-// densify-then-traverse; per-op blocks + pairwise hconcat) against the
-// blocked kernels, verifying bit-exact outputs along the way.
+// batched TF-IDF transform, the one-pass keyword automaton, the sparse-GBDT
+// traversal that skips per-block densification, and the zero-copy planned
+// feature assembly — the feature-side counterpart of bench_micro_kernels'
+// model-side sections. Each section times the same fitted state under the
+// pre-kernel code shape (per-document std::string n-grams + unordered_map
+// counts + append_row; one find loop per keyword; densify-then-traverse;
+// per-op blocks + pairwise hconcat) against the kernels, verifying
+// bit-exact outputs along the way.
 //
 // `--trend` asserts the layer's acceptance floors: blocked TF-IDF >= 2x the
-// per-document scalar reference, CSR GBDT traversal >= 1.3x densify on
+// per-document scalar reference, keyword counts bit-exact with the find
+// loop (speed reported, no floor), CSR GBDT traversal >= 1.3x densify on
 // wide-sparse inputs, music feature stage >= 1.5x and end-to-end music
 // >= 1.3x over the zero-copy-off reference with bit-exact predictions, and
 // the op-level autotuned pipeline never losing to the forced reference.
@@ -21,6 +23,7 @@
 #include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,8 +35,10 @@
 #include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
+#include "ops/string_ops.hpp"
 #include "ops/tfidf.hpp"
 #include "ops/tokenizer.hpp"
+#include "workloads/toxic.hpp"
 
 using namespace willump;
 using namespace willump::bench;
@@ -196,7 +201,69 @@ void bench_tfidf() {
   for (const auto& row : rows) table.print_row(row);
 }
 
-/// Section 2: wide-sparse GBDT traversal. The densify path scatters each
+/// Section 2: keyword_count on Toxic's comments and curse vocabulary. The
+/// reference is the pre-automaton shape: one string_view::find loop per
+/// keyword per document (leftmost non-overlapping, `pos += size`). The
+/// automaton reads each document once. Counts are integers, so the two
+/// must agree exactly; the section reports throughput and has no floor.
+data::DenseMatrix keyword_counts_find_loop(
+    const std::vector<std::string>& keywords, const data::StringColumn& docs) {
+  data::DenseMatrix out(docs.size(), keywords.size() + 1);
+  for (std::size_t r = 0; r < docs.size(); ++r) {
+    const std::string_view doc = docs[r];
+    auto row = out.mutable_row(r);
+    double total = 0.0;
+    for (std::size_t k = 0; k < keywords.size(); ++k) {
+      const std::string_view needle = keywords[k];
+      std::size_t count = 0;
+      if (!needle.empty()) {
+        for (std::size_t pos = doc.find(needle); pos != std::string_view::npos;
+             pos = doc.find(needle, pos + needle.size())) {
+          ++count;
+        }
+      }
+      row[k] = static_cast<double>(count);
+      total += row[k];
+    }
+    row[keywords.size()] = total;
+  }
+  return out;
+}
+
+void bench_keyword_count() {
+  std::printf("\n-- Keyword count (automaton vs per-keyword find loop) --\n");
+  const auto wl = make_workload("toxic");
+  const data::Value in{wl.test.inputs.get("comment")};
+  const data::StringColumn& docs = in.column().strings();
+  const auto& keywords = workloads::toxic_curse_vocab();
+  const ops::KeywordCountOp op(keywords);
+  const std::span<const data::Value> inputs(&in, 1);
+
+  const data::DenseMatrix ref = keyword_counts_find_loop(keywords, docs);
+  const data::Value got = op.eval_batch(inputs);
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < docs.size(); ++r) {
+    const auto a = got.features().dense().row(r);
+    const auto b = ref.row(r);
+    if (!std::equal(a.begin(), a.end(), b.begin(), b.end())) ++mismatches;
+  }
+  std::printf("parity keyword_count: %zu mismatched rows (must be 0)\n",
+              mismatches);
+  check_trend(mismatches == 0, "keyword automaton bit-exact with find loop");
+
+  const double find_loop = throughput_rows_per_sec(docs.size(), reps(), [&] {
+    (void)keyword_counts_find_loop(keywords, docs);
+  });
+  const double automaton = throughput_rows_per_sec(
+      docs.size(), reps(), [&] { (void)op.eval_batch(inputs); });
+  TablePrinter table({"kernel", "docs/s", "vs find loop"});
+  table.print_header();
+  table.print_row({"find-loop", fmt("%.0f", find_loop), "1.00x"});
+  table.print_row({"automaton", fmt("%.0f", automaton),
+                   fmt("%.2fx", automaton / find_loop)});
+}
+
+/// Section 3: wide-sparse GBDT traversal. The densify path scatters each
 /// row's entries into a kMaxTreeBlock x cols scratch, runs the blocked
 /// kernel, and scatters zeros back — on a TF-IDF-wide matrix that scratch
 /// is tens of MiB and every touch misses cache. The CSR path probes each
@@ -278,7 +345,7 @@ void bench_sparse_gbdt() {
               "CSR GBDT traversal >= 1.3x densify on wide-sparse");
 }
 
-/// Sections 3+4: feature-stage and end-to-end contribution on music
+/// Sections 4+5: feature-stage and end-to-end contribution on music
 /// (Figure 5's shape: six table-lookup generators feeding a GBDT). All
 /// arms share one forced model-kernel config so the pipelines differ ONLY
 /// in the feature layer: the reference arm assembles per-op blocks with
@@ -374,11 +441,12 @@ void bench_music() {
 int main(int argc, char** argv) {
   parse_args(argc, argv);
   print_banner(
-      "Feature-operator kernels (blocked TF-IDF, sparse GBDT, zero-copy "
-      "assembly)",
+      "Feature-operator kernels (blocked TF-IDF, keyword automaton, sparse "
+      "GBDT, zero-copy assembly)",
       "DESIGN.md §10 (feature layer under Figure 5's compiled config)");
 
   bench_tfidf();
+  bench_keyword_count();
   bench_sparse_gbdt();
   bench_music();
 

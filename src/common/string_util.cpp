@@ -5,9 +5,16 @@
 namespace willump::common {
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  // Only 'A'..'Z' change, whatever the process locale. The branch-free
+  // select lets the compiler vectorize the loop.
+  std::string out(s.size(), '\0');
+  const auto* in = reinterpret_cast<const unsigned char*>(s.data());
+  auto* dst = reinterpret_cast<unsigned char*>(out.data());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char u = in[i];
+    dst[i] = static_cast<unsigned char>(u - 'A') < 26
+                 ? static_cast<unsigned char>(u | 0x20)
+                 : u;
   }
   return out;
 }
@@ -42,17 +49,6 @@ std::string strip_punct(std::string_view s) {
     if (std::ispunct(static_cast<unsigned char>(c))) c = ' ';
   }
   return out;
-}
-
-std::size_t count_occurrences(std::string_view haystack, std::string_view needle) {
-  if (needle.empty()) return 0;
-  std::size_t count = 0;
-  std::size_t pos = 0;
-  while ((pos = haystack.find(needle, pos)) != std::string_view::npos) {
-    ++count;
-    pos += needle.size();
-  }
-  return count;
 }
 
 double upper_ratio(std::string_view s) {

@@ -6,7 +6,7 @@
 
 namespace willump::common {
 
-/// ASCII lowercase copy.
+/// ASCII lowercase copy: maps only 'A'..'Z', independent of the locale.
 std::string to_lower(std::string_view s);
 
 /// Split on any run of whitespace; no empty tokens.
@@ -17,9 +17,6 @@ std::vector<std::string_view> split(std::string_view s, char delim);
 
 /// Remove ASCII punctuation, replacing it with spaces.
 std::string strip_punct(std::string_view s);
-
-/// Count occurrences of `needle` in `haystack` (non-overlapping).
-std::size_t count_occurrences(std::string_view haystack, std::string_view needle);
 
 /// Fraction of alphabetic characters that are uppercase; 0 if none.
 double upper_ratio(std::string_view s);

@@ -63,7 +63,15 @@ ops::OperatorPtr load_keyword_count(Reader& r, const OpLoadContext&) {
       r.length(r.format_version() >= 4 ? 1 : 8, "keyword list");
   std::vector<std::string> keywords;
   keywords.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) keywords.push_back(r.str());
+  std::size_t total_bytes = 0;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    keywords.push_back(r.str());
+    total_bytes += keywords.back().size();
+    if (total_bytes > ops::KeywordCountOp::kMaxKeywordBytes) {
+      throw SerializeError(ErrorCode::CorruptData,
+                           "keyword_count keywords above the byte cap");
+    }
+  }
   return std::make_shared<ops::KeywordCountOp>(std::move(keywords));
 }
 

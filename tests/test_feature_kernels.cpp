@@ -7,6 +7,8 @@
 //  - blocked TF-IDF (transform_into) reproduces transform_one's arithmetic
 //    per document, and both match an independent test-local oracle that
 //    shares no code with the kernel's counter or row builder;
+//  - KeywordCountOp's one-pass automaton matches a test-local per-keyword
+//    find loop, and its constructor rejects keyword lists above the cap;
 //  - the compiled executor's zero-copy planned assembly (dense plan,
 //    single-sparse plan, mixed fused concat) produces the same matrix as
 //    the reference compute_blocks + pairwise-hconcat path, full and masked,
@@ -47,7 +49,9 @@
 #include "serialize/artifact.hpp"
 #include "serialize/buffer.hpp"
 #include "serialize/error.hpp"
+#include "test_support.hpp"
 #include "workloads/price.hpp"
+#include "workloads/toxic.hpp"
 
 namespace willump {
 namespace {
@@ -297,6 +301,127 @@ TEST(TfIdfOracle, KernelMatchesIndependentReferenceBitExact) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Independent keyword-count oracle. KeywordCountOp runs one Aho–Corasick
+// pass per document; the oracle is the per-keyword string_view::find loop
+// it replaced (greedy leftmost non-overlapping: `pos += needle.size()`),
+// sharing no code with the automaton. Counts are integers and the total
+// sums in keyword order, so every value must match bit for bit.
+// ---------------------------------------------------------------------------
+
+std::size_t count_occurrences(std::string_view haystack,
+                              std::string_view needle) {
+  if (needle.empty()) return 0;
+  std::size_t count = 0;
+  std::size_t pos = 0;
+  while ((pos = haystack.find(needle, pos)) != std::string_view::npos) {
+    ++count;
+    pos += needle.size();
+  }
+  return count;
+}
+
+TEST(KeywordCountOracle, FindLoopCountsNonOverlapping) {
+  EXPECT_EQ(count_occurrences("abcabcab", "abc"), 2u);
+  EXPECT_EQ(count_occurrences("aaaa", "aa"), 2u);  // non-overlapping
+  EXPECT_EQ(count_occurrences("xyz", ""), 0u);
+  EXPECT_EQ(count_occurrences("", "x"), 0u);
+}
+
+/// eval_batch over `docs` against the oracle, value bits and shape.
+void expect_keyword_counts_match_oracle(
+    const std::vector<std::string>& keywords, const data::StringColumn& docs,
+    const std::string& what) {
+  const ops::KeywordCountOp op(keywords);
+  const data::Value in{data::Column(data::StringColumn(docs))};
+  const data::Value got = op.eval_batch(std::span<const data::Value>(&in, 1));
+  ASSERT_TRUE(got.features().is_dense()) << what;
+  const data::DenseMatrix& m = got.features().dense();
+  ASSERT_EQ(m.rows(), docs.size()) << what;
+  ASSERT_EQ(m.cols(), keywords.size() + 1) << what;
+  for (std::size_t r = 0; r < docs.size(); ++r) {
+    const auto row = m.row(r);
+    double total = 0.0;
+    for (std::size_t k = 0; k < keywords.size(); ++k) {
+      const double want =
+          static_cast<double>(count_occurrences(docs[r], keywords[k]));
+      total += want;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(row[k]),
+                std::bit_cast<std::uint64_t>(want))
+          << what << " doc " << r << " keyword " << k;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(row[keywords.size()]),
+              std::bit_cast<std::uint64_t>(total))
+        << what << " doc " << r << " total";
+  }
+}
+
+TEST(KeywordCountOracle, EdgeCasesMatchFindLoop) {
+  using namespace std::string_literals;
+  // Prefix/suffix overlaps: "she" ends inside "hers", "he" inside both.
+  expect_keyword_counts_match_oracle(
+      {"he", "she", "his", "hers"},
+      {""s, "ushers"s, "she sells his hers"s, "hishershehe"s, "hhhe"s,
+       "shhe"s, "hershers"s},
+      "overlapping set");
+  // Self-overlap: "aa" in "aaaaa" counts 2, "aba" in "ababa" counts 1.
+  expect_keyword_counts_match_oracle(
+      {"aa", "aba", "a"}, {"aaaaa"s, "ababa"s, "abababa"s, "aabaa"s},
+      "self-overlap");
+  // Duplicates each get the full count; an empty keyword counts 0.
+  expect_keyword_counts_match_oracle(
+      {"ab", "", "ab", "b", "", "ab"}, {"abab"s, ""s, "bbb"s, "xabx"s},
+      "duplicates and empty");
+  // Longer than the document, and equal to it.
+  expect_keyword_counts_match_oracle(
+      {"abcdef", "abc", "abcd"}, {"abc"s, "abcdef"s, "ab"s, "abcdefabc"s},
+      "length edges");
+  // Bytes >= 0x80, embedded NULs, and case sensitivity.
+  expect_keyword_counts_match_oracle(
+      {"caf\xc3\xa9"s, "\xff\xfe"s, "a\0b"s, "\0"s, "Ab"s, "ab"s, "AB"s},
+      {"caf\xc3\xa9 CAF\xc3\x89"s, "\xff\xfe\xff\xfe\xff"s, "a\0ba\0b\0"s,
+       "ab Ab aB AB abAB"s, "\0\0\0"s},
+      "bytes, NULs and case");
+  // No keywords at all: one total column of zeros.
+  expect_keyword_counts_match_oracle({}, {""s, "anything"s}, "no keywords");
+}
+
+TEST(KeywordCountOracle, ToxicVocabularyOnToxicDocuments) {
+  const workloads::Workload wl = testing::small_toxic_cached();
+  for (const auto* split : {&wl.train, &wl.test}) {
+    expect_keyword_counts_match_oracle(workloads::toxic_curse_vocab(),
+                                       split->inputs.get("comment").strings(),
+                                       "toxic");
+  }
+}
+
+TEST(KeywordCountOracle, RandomSmallAlphabetCases) {
+  common::Rng rng(83);
+  const auto random_string = [&](std::size_t min_len, std::size_t max_len) {
+    std::string out(min_len + rng.next_below(max_len - min_len + 1), 'a');
+    for (auto& c : out) c = static_cast<char>('a' + rng.next_below(3));
+    return out;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<std::string> keywords(1 + rng.next_below(20));
+    for (auto& k : keywords) k = random_string(1, 5);
+    data::StringColumn docs(4);
+    for (auto& d : docs) d = random_string(0, 64);
+    expect_keyword_counts_match_oracle(keywords, docs,
+                                       "trial " + std::to_string(trial));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(KeywordCountOracle, KeywordBytesAboveCapThrow) {
+  using ops::KeywordCountOp;
+  EXPECT_NO_THROW(KeywordCountOp(
+      {std::string(KeywordCountOp::kMaxKeywordBytes - 1, 'a'), "b"}));
+  EXPECT_THROW(KeywordCountOp(
+                   {std::string(KeywordCountOp::kMaxKeywordBytes, 'a'), "b"}),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

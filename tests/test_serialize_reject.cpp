@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "models/gbdt.hpp"
@@ -357,6 +358,34 @@ TEST(SerializeReject, TfIdfNgramRangeAboveCapIsCorruptData) {
     } catch (const SerializeError& e) {
       EXPECT_EQ(e.code(), ErrorCode::CorruptData) << bad;
     }
+  }
+}
+
+TEST(SerializeReject, KeywordBytesAboveCapIsCorruptData) {
+  // A hand-written v4 keyword_count op: a count, then varint-prefixed
+  // keywords whose bytes sum to `total` (one long keyword plus "ab").
+  const auto keyword_op_bytes = [](std::size_t total) {
+    serialize::Writer w;
+    w.str("keyword_count");
+    w.u64(2);
+    w.str(std::string(total - 2, 'k'));
+    w.str("ab");
+    return Bytes(w.bytes().begin(), w.bytes().end());
+  };
+  const serialize::OpLoadContext ctx;
+  {
+    const Bytes bytes = keyword_op_bytes(ops::KeywordCountOp::kMaxKeywordBytes);
+    serialize::Reader r(bytes);
+    EXPECT_EQ(serialize::load_op(r, ctx)->name(), "keyword_count");
+  }
+  const Bytes bytes =
+      keyword_op_bytes(ops::KeywordCountOp::kMaxKeywordBytes + 1);
+  serialize::Reader r(bytes);
+  try {
+    (void)serialize::load_op(r, ctx);
+    FAIL() << "keyword list one byte above the cap accepted";
+  } catch (const SerializeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::CorruptData);
   }
 }
 

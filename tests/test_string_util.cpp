@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "common/hash.hpp"
 
 namespace willump::common {
@@ -11,6 +14,26 @@ TEST(StringUtil, ToLower) {
   EXPECT_EQ(to_lower("Hello World"), "hello world");
   EXPECT_EQ(to_lower("ABC123!"), "abc123!");
   EXPECT_EQ(to_lower(""), "");
+}
+
+TEST(StringUtil, ToLowerIsAsciiOnly) {
+  // Expected table: only 'A'..'Z' change, by +32.
+  std::string all(256, '\0');
+  std::string want(256, '\0');
+  for (int b = 0; b < 256; ++b) {
+    all[b] = static_cast<char>(b);
+    want[b] = static_cast<char>(b >= 'A' && b <= 'Z' ? b + 32 : b);
+  }
+  const std::string got = to_lower(all);
+  ASSERT_EQ(got.size(), 256u);
+  for (int b = 0; b < 256; ++b) {
+    EXPECT_EQ(static_cast<unsigned char>(got[b]),
+              static_cast<unsigned char>(want[b]))
+        << "byte " << b;
+    // The library never calls setlocale, so this is the "C" locale.
+    EXPECT_EQ(static_cast<unsigned char>(got[b]), std::tolower(b))
+        << "byte " << b;
+  }
 }
 
 TEST(StringUtil, SplitWs) {
@@ -35,13 +58,6 @@ TEST(StringUtil, SplitKeepsEmptyFields) {
 TEST(StringUtil, StripPunct) {
   EXPECT_EQ(strip_punct("a,b.c!"), "a b c ");
   EXPECT_EQ(strip_punct("no punct"), "no punct");
-}
-
-TEST(StringUtil, CountOccurrences) {
-  EXPECT_EQ(count_occurrences("abcabcab", "abc"), 2u);
-  EXPECT_EQ(count_occurrences("aaaa", "aa"), 2u);  // non-overlapping
-  EXPECT_EQ(count_occurrences("xyz", ""), 0u);
-  EXPECT_EQ(count_occurrences("", "x"), 0u);
 }
 
 TEST(StringUtil, UpperRatio) {
