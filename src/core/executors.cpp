@@ -167,17 +167,18 @@ Executor::Executor(Graph graph, IfvAnalysis analysis)
 data::FeatureMatrix Executor::assemble(
     const std::vector<data::FeatureMatrix>& blocks,
     const std::vector<bool>& mask) const {
-  std::vector<data::FeatureMatrix> selected;
+  std::vector<const data::FeatureMatrix*> selected;
+  selected.reserve(analysis_.generators.size());
   bool full = true;
   for (std::size_t f = 0; f < analysis_.generators.size(); ++f) {
     if (fg_selected(mask, f)) {
-      selected.push_back(blocks[f]);
+      selected.push_back(&blocks[f]);
     } else {
       full = false;
     }
   }
-  data::FeatureMatrix m = data::FeatureMatrix::hconcat_all(selected);
-  return apply_post_chain(std::move(m), mask, full);
+  return apply_post_chain(data::FeatureMatrix::hconcat_all(selected), mask,
+                          full);
 }
 
 data::FeatureMatrix Executor::apply_post_chain(data::FeatureMatrix m,
@@ -742,78 +743,6 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
 // Zero-copy planned assembly
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Rows per chunk of the fused dense concat.
-constexpr std::size_t kDenseConcatChunkRows = 256;
-
-/// Fused k-way dense concat: copy every selected block's rows into its
-/// column slice of one preallocated matrix, row-chunk-major so the
-/// destination chunk stays cache-resident across the k sources. One copy
-/// per element vs the pairwise hconcat fold's O(k) copies. `out` is rebuilt
-/// in place (capacity reuse on persistent destinations).
-void fused_dense_concat(const std::vector<const data::FeatureMatrix*>& blocks,
-                        std::size_t rows, std::size_t total_cols,
-                        data::DenseMatrix& out) {
-  out.reshape(rows, total_cols);
-  double* dst = out.mutable_data().data();
-  for (std::size_t r0 = 0; r0 < rows; r0 += kDenseConcatChunkRows) {
-    const std::size_t r1 = std::min(rows, r0 + kDenseConcatChunkRows);
-    std::size_t col_off = 0;
-    for (const auto* b : blocks) {
-      const auto& d = b->dense();
-      const std::size_t w = d.cols();
-      for (std::size_t r = r0; r < r1; ++r) {
-        auto src = d.row(r);
-        std::copy(src.begin(), src.end(), dst + r * total_cols + col_off);
-      }
-      col_off += w;
-    }
-  }
-}
-
-/// Fused k-way sparse concat: stream every block's row entries (with column
-/// offsets; dense blocks drop zeros, exactly as FeatureMatrix::to_csr does
-/// inside the pairwise fold) into one output CSR — a single pass instead of
-/// k-1 intermediate matrices. `out` is rebuilt in place.
-void fused_sparse_concat(const std::vector<const data::FeatureMatrix*>& blocks,
-                         std::size_t rows, std::size_t total_cols,
-                         data::CsrMatrix& out) {
-  std::size_t nnz_guess = 0;
-  for (const auto* b : blocks) {
-    nnz_guess += b->is_sparse() ? b->sparse().nnz() : b->rows();
-  }
-  out.reset(static_cast<std::int32_t>(total_cols));
-  out.reserve(rows, nnz_guess);
-  // Per-thread row buffer: keeps its capacity across calls, so a steady
-  // stream of small batches does not regrow it entry by entry.
-  thread_local std::vector<data::SparseEntry> row;
-  for (std::size_t r = 0; r < rows; ++r) {
-    row.clear();
-    std::int32_t col_off = 0;
-    for (const auto* b : blocks) {
-      if (b->is_sparse()) {
-        const auto rv = b->sparse().row(r);
-        for (std::size_t k = 0; k < rv.nnz(); ++k) {
-          row.push_back({rv.indices[k] + col_off, rv.values[k]});
-        }
-        col_off += b->sparse().cols();
-      } else {
-        const auto rv = b->dense().row(r);
-        for (std::size_t c = 0; c < rv.size(); ++c) {
-          if (rv[c] != 0.0) {
-            row.push_back({col_off + static_cast<std::int32_t>(c), rv[c]});
-          }
-        }
-        col_off += static_cast<std::int32_t>(rv.size());
-      }
-    }
-    out.append_row(row);
-  }
-}
-
-}  // namespace
-
 bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
                                         const ExecOptions& opts,
                                         data::FeatureMatrix& result) const {
@@ -886,7 +815,7 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
     std::size_t total_cols = 0;
     for (std::size_t f : selected) total_cols += analysis_.block_cols[f];
     auto& out = result.ensure_dense();
-    out.reshape(rows, total_cols);
+    out.reshape_for_overwrite(rows, total_cols);
     double* base = out.mutable_data().data();
     std::size_t col_off = 0;
     for (std::size_t f : selected) {
@@ -922,29 +851,19 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
     return true;
   }
 
-  // Mixed plan: compute the selected blocks (sparse producers still run
-  // their tuned batch kernels via run_steps), then assemble with a fused
-  // one-pass k-way concat instead of the pairwise fold.
+  // Mixed plan: the reference path's blocks and k-way concat, but the
+  // concat rebuilds `result` in place, so a persistent destination keeps
+  // its CSR capacity where the reference path allocates a fresh matrix per
+  // call (bench_memory: toxic's single-row requests make 14.0 allocations
+  // here, 21.2 on the reference path).
   std::vector<data::FeatureMatrix> computed(num_fg);
   std::vector<const data::FeatureMatrix*> parts;
   parts.reserve(selected.size());
-  bool any_sparse = false;
-  std::size_t total_cols = 0;
   for (std::size_t f : selected) {
     computed[f] = compute_block_plain(batch, f, frame, opts);
-    const auto& b = computed[f];
-    if (b.rows() == 0 && b.cols() == 0) continue;  // identity, as hconcat
-    parts.push_back(&b);
-    any_sparse = any_sparse || b.is_sparse();
-    total_cols += b.cols();
+    parts.push_back(&computed[f]);
   }
-  if (parts.empty()) {
-    result = data::FeatureMatrix();
-  } else if (any_sparse) {
-    fused_sparse_concat(parts, rows, total_cols, result.ensure_sparse());
-  } else {
-    fused_dense_concat(parts, rows, total_cols, result.ensure_dense());
-  }
+  data::FeatureMatrix::hconcat_all_into(parts, result);
   result = apply_post_chain(std::move(result), opts.fg_mask, full);
   return true;
 }

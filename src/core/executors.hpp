@@ -216,7 +216,8 @@ class CompiledExecutor final : public Executor {
   /// selected generator ends in a block-kernel op, the final feature matrix
   /// is allocated once and ops write their column slices (dense) or stream
   /// their CSR rows (sparse) straight into it — no per-op block, no
-  /// pairwise hconcat copies. Falls back to the reference
+  /// concat copy; mixed selections run the k-way concat into it. Falls
+  /// back to the reference
   /// compute_blocks+assemble path whenever planning does not apply
   /// (caching, pooling, profiling, unknown layout, zero_copy disabled);
   /// both paths produce bit-identical matrices.

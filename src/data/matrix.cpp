@@ -1,5 +1,6 @@
 #include "data/matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -175,10 +176,132 @@ FeatureMatrix FeatureMatrix::hconcat(const FeatureMatrix& a, const FeatureMatrix
   return FeatureMatrix(CsrMatrix::hconcat(a.to_csr(), b.to_csr()));
 }
 
-FeatureMatrix FeatureMatrix::hconcat_all(std::span<const FeatureMatrix> blocks) {
+namespace {
+
+/// Rows per chunk of the dense k-way concat.
+constexpr std::size_t kDenseConcatChunkRows = 256;
+
+/// Dense k-way concat over `rows`-row blocks (zero-row blocks are
+/// skipped): copy every block's rows into its column slice of one
+/// preallocated matrix, row-chunk-major so the destination chunk stays
+/// cache-resident across the k sources. One copy per element vs the
+/// pairwise fold's O(k) copies. `out` is rebuilt in place.
+void fused_dense_concat(std::span<const FeatureMatrix* const> blocks,
+                        std::size_t rows, std::size_t total_cols,
+                        DenseMatrix& out) {
+  out.reshape(rows, total_cols);
+  double* dst = out.mutable_data().data();
+  for (std::size_t r0 = 0; r0 < rows; r0 += kDenseConcatChunkRows) {
+    const std::size_t r1 = std::min(rows, r0 + kDenseConcatChunkRows);
+    std::size_t col_off = 0;
+    for (const auto* b : blocks) {
+      if (b->rows() == 0) continue;
+      const auto& d = b->dense();
+      for (std::size_t r = r0; r < r1; ++r) {
+        auto src = d.row(r);
+        std::copy(src.begin(), src.end(), dst + r * total_cols + col_off);
+      }
+      col_off += d.cols();
+    }
+  }
+}
+
+/// Sparse k-way concat over `rows`-row blocks (zero-row blocks are
+/// skipped): stream every block's row entries (with column
+/// offsets; dense blocks drop zeros, exactly as FeatureMatrix::to_csr does
+/// inside the pairwise fold) into one output CSR — a single pass instead of
+/// k-1 intermediate matrices. `out` is rebuilt in place.
+void fused_sparse_concat(std::span<const FeatureMatrix* const> blocks,
+                         std::size_t rows, std::size_t total_cols,
+                         CsrMatrix& out) {
+  std::size_t nnz_guess = 0;
+  for (const auto* b : blocks) {
+    nnz_guess += b->is_sparse() ? b->sparse().nnz() : b->rows();
+  }
+  out.reset(static_cast<std::int32_t>(total_cols));
+  out.reserve(rows, nnz_guess);
+  // Per-thread row buffer: keeps its capacity across calls, so a steady
+  // stream of small batches does not regrow it entry by entry.
+  thread_local std::vector<SparseEntry> row;
+  for (std::size_t r = 0; r < rows; ++r) {
+    row.clear();
+    std::int32_t col_off = 0;
+    for (const auto* b : blocks) {
+      if (b->rows() == 0) continue;
+      if (b->is_sparse()) {
+        const auto rv = b->sparse().row(r);
+        for (std::size_t k = 0; k < rv.nnz(); ++k) {
+          row.push_back({rv.indices[k] + col_off, rv.values[k]});
+        }
+        col_off += b->sparse().cols();
+      } else {
+        const auto rv = b->dense().row(r);
+        for (std::size_t c = 0; c < rv.size(); ++c) {
+          if (rv[c] != 0.0) {
+            row.push_back({col_off + static_cast<std::int32_t>(c), rv[c]});
+          }
+        }
+        col_off += static_cast<std::int32_t>(rv.size());
+      }
+    }
+    out.append_row(row);
+  }
+}
+
+}  // namespace
+
+FeatureMatrix FeatureMatrix::hconcat_all(
+    std::span<const FeatureMatrix* const> blocks) {
   FeatureMatrix out;
-  for (const auto& b : blocks) out = hconcat(out, b);
+  hconcat_all_into(blocks, out);
   return out;
+}
+
+void FeatureMatrix::hconcat_all_into(
+    std::span<const FeatureMatrix* const> blocks, FeatureMatrix& out) {
+  // Replay the pairwise fold on shapes alone. The accumulator starts 0x0;
+  // a 0x0 accumulator becomes the next block (type included), a 0x0 block
+  // is skipped, a zero-row accumulator is replaced by the next block and a
+  // zero-row block is dropped; any sparse operand after the first makes
+  // the result CSR. So the result is blocks[first] plus every later block
+  // with rows, all of `rows` rows: the concat kernels skip zero-row blocks.
+  if (blocks.empty()) {
+    out = FeatureMatrix();
+    return;
+  }
+  bool sparse = false;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
+  std::size_t first = 0;
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const FeatureMatrix& b = *blocks[k];
+    if (rows == 0 && cols == 0) {
+      sparse = b.is_sparse();
+      rows = b.rows();
+      cols = b.cols();
+      first = k;
+      continue;
+    }
+    if (b.rows() == 0 && b.cols() == 0) continue;
+    sparse = sparse || b.is_sparse();
+    if (rows == 0) {
+      rows = b.rows();
+      cols = b.cols();
+      first = k;
+    } else if (b.rows() != 0) {
+      if (b.rows() != rows) {
+        throw std::invalid_argument(
+            "FeatureMatrix::hconcat_all: row count mismatch");
+      }
+      cols += b.cols();
+    }
+  }
+  const auto parts = blocks.subspan(first);
+  if (sparse) {
+    fused_sparse_concat(parts, rows, cols, out.ensure_sparse());
+  } else {
+    fused_dense_concat(parts, rows, cols, out.ensure_dense());
+  }
 }
 
 }  // namespace willump::data

@@ -29,6 +29,15 @@ class DenseMatrix {
     v_.assign(rows * cols, fill);
   }
 
+  /// Reshape to rows x cols for a caller that overwrites every element:
+  /// elements already in the backing store keep stale values (no fill
+  /// pass on a reused destination), new ones are zero.
+  void reshape_for_overwrite(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    v_.resize(rows * cols);
+  }
+
   double operator()(std::size_t r, std::size_t c) const { return v_[r * cols_ + c]; }
   double& operator()(std::size_t r, std::size_t c) { return v_[r * cols_ + c]; }
 
@@ -167,8 +176,18 @@ class FeatureMatrix {
   /// Horizontally concatenate two blocks (promoting to sparse on mixed input).
   static FeatureMatrix hconcat(const FeatureMatrix& a, const FeatureMatrix& b);
 
-  /// Concatenate many blocks left-to-right; empty list yields an empty matrix.
-  static FeatureMatrix hconcat_all(std::span<const FeatureMatrix> blocks);
+  /// Concatenate many blocks left-to-right in one pass; an empty list
+  /// yields an empty matrix. The result is bit-identical to folding
+  /// `hconcat` over the list: 0x0 blocks are identities, all-dense input
+  /// stays dense, any sparse input gives CSR (dense zeros dropped), and a
+  /// row-count mismatch throws std::invalid_argument.
+  static FeatureMatrix hconcat_all(
+      std::span<const FeatureMatrix* const> blocks);
+
+  /// hconcat_all rebuilt in place into `out`, which keeps its heap capacity
+  /// (for persistent destinations) and must not be one of the blocks.
+  static void hconcat_all_into(std::span<const FeatureMatrix* const> blocks,
+                               FeatureMatrix& out);
 
  private:
   std::variant<DenseMatrix, CsrMatrix> m_;

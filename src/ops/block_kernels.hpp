@@ -26,8 +26,9 @@ class DenseBlockWriter {
   virtual ~DenseBlockWriter() = default;
 
   /// Write `rows` output rows into `dst`, a row-major window with `stride`
-  /// doubles per row; dst points at this op's first column of row 0. The
-  /// values written must be bit-identical to eval_batch's dense output.
+  /// doubles per row; dst points at this op's first column of row 0. Every
+  /// element of the window must be written (a reused destination is not
+  /// cleared first), bit-identical to eval_batch's dense output.
   virtual void write_block(std::span<const data::Value> inputs,
                            const BlockExecContext& ctx, double* dst,
                            std::size_t rows, std::size_t stride) const = 0;

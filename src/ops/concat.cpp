@@ -6,13 +6,13 @@
 namespace willump::ops {
 
 data::Value ConcatOp::eval_batch(std::span<const data::Value> inputs) const {
-  std::vector<data::FeatureMatrix> blocks;
+  std::vector<const data::FeatureMatrix*> blocks;
   blocks.reserve(inputs.size());
   for (const auto& v : inputs) {
     if (!v.is_features()) {
       throw std::invalid_argument("concat: expects feature-matrix inputs");
     }
-    blocks.push_back(v.features());
+    blocks.push_back(&v.features());
   }
   return data::Value(data::FeatureMatrix::hconcat_all(blocks));
 }

@@ -38,6 +38,15 @@ std::uint64_t packed_key(std::uint64_t w, std::size_t n) {
          (static_cast<std::uint64_t>(n) << 56);
 }
 
+/// Flat-table hash of a term's bytes: seeded by the length, one multiply
+/// per 8-byte chunk, and the last chunk read through load_le so no load
+/// passes the term's end. The product's top bits pick the slot.
+std::uint64_t term_hash(const unsigned char* p, std::size_t n) {
+  std::uint64_t h = (static_cast<std::uint64_t>(n) + 1) * kPackedMul;
+  for (; n > 8; p += 8, n -= 8) h = (h ^ load_le(p, 8)) * kPackedMul;
+  return (h ^ load_le(p, n)) * kPackedMul;
+}
+
 }  // namespace
 
 TfIdfModel TfIdfModel::fit(const data::StringColumn& corpus, TfIdfConfig cfg) {
@@ -107,13 +116,19 @@ void TfIdfModel::finalize_index() {
   const std::size_t slots = std::max<std::size_t>(
       16, std::bit_ceil(static_cast<std::size_t>(dim_) * 2));
   flat_mask_ = slots - 1;
+  flat_shift_ = 64 - std::countr_zero(slots);
   flat_.assign(slots, {});
+  pool_.clear();
+  for (const std::string_view t : terms_) pool_.append(t);
+  std::size_t off = 0;
   for (std::int32_t i = 0; i < dim_; ++i) {
-    const std::uint64_t h =
-        std::hash<std::string_view>{}(terms_[static_cast<std::size_t>(i)]);
-    std::size_t s = h & flat_mask_;
+    const std::string_view t = terms_[static_cast<std::size_t>(i)];
+    const std::uint64_t h = term_hash(
+        reinterpret_cast<const unsigned char*>(t.data()), t.size());
+    std::size_t s = h >> flat_shift_;
     while (flat_[s].idx != -1) s = (s + 1) & flat_mask_;
-    flat_[s] = {h, i};
+    flat_[s] = {h, off, t.size(), i};
+    off += t.size();
   }
 
   packed_.clear();
@@ -121,7 +136,6 @@ void TfIdfModel::finalize_index() {
     return;
   }
   packed_.assign(slots, {});
-  packed_shift_ = 64 - std::countr_zero(slots);
   for (std::int32_t i = 0; i < dim_; ++i) {
     const std::string_view t = terms_[static_cast<std::size_t>(i)];
     // Only lengths the counter probes can ever hit (a loaded vocabulary is
@@ -133,7 +147,7 @@ void TfIdfModel::finalize_index() {
     const std::uint64_t key = packed_key(
         load_le(reinterpret_cast<const unsigned char*>(t.data()), t.size()),
         t.size());
-    std::size_t s = (key * kPackedMul) >> packed_shift_;
+    std::size_t s = (key * kPackedMul) >> flat_shift_;
     while (packed_[s].key != 0) s = (s + 1) & flat_mask_;
     packed_[s] = {key, i};
   }
@@ -142,6 +156,21 @@ void TfIdfModel::finalize_index() {
 std::int32_t TfIdfModel::term_index(std::string_view term) const {
   auto it = vocab_.find(term);
   return it == vocab_.end() ? -1 : it->second;
+}
+
+std::int32_t TfIdfModel::find_term(const unsigned char* p,
+                                   std::size_t n) const {
+  const std::uint64_t h = term_hash(p, n);
+  const FlatSlot* const table = flat_.data();
+  const char* const pool = pool_.data();
+  for (std::size_t s = h >> flat_shift_;; s = (s + 1) & flat_mask_) {
+    const FlatSlot& slot = table[s];
+    if (slot.idx == -1) return -1;
+    if (slot.hash == h && slot.len == n &&
+        std::memcmp(pool + slot.off, p, n) == 0) {
+      return slot.idx;
+    }
+  }
 }
 
 void TfIdfModel::count_terms(std::string_view doc,
@@ -172,7 +201,7 @@ void TfIdfModel::count_terms(std::string_view doc,
       const std::size_t top = std::min(max_n, avail);
       for (std::size_t n = min_n; n <= top; ++n) {
         const std::uint64_t key = packed_key(w, n);
-        for (std::size_t s = (key * kPackedMul) >> packed_shift_;;
+        for (std::size_t s = (key * kPackedMul) >> flat_shift_;;
              s = (s + 1) & flat_mask_) {
           if (table[s].key == key) {
             hit(table[s].idx);
@@ -185,18 +214,29 @@ void TfIdfModel::count_terms(std::string_view doc,
     return;
   }
 
+  if (cfg_.analyzer == Analyzer::Word && cfg_.ngrams.max_n == 1) {
+    // Unigrams: one scan over the document, probing each maximal run of
+    // non-space bytes where it lies, with no token vector. Same splits as
+    // for_each_ngram_t, so fit and transform agree on every token.
+    const auto* p = reinterpret_cast<const unsigned char*>(doc.data());
+    const std::size_t size = doc.size();
+    std::size_t i = 0;
+    for (;;) {
+      while (i < size && is_word_space(p[i])) ++i;
+      if (i == size) return;
+      const std::size_t start = i;
+      while (i < size && !is_word_space(p[i])) ++i;
+      const std::int32_t idx = find_term(p + start, i - start);
+      if (idx >= 0) hit(idx);
+    }
+  }
+
   for_each_ngram_t(doc, cfg_.analyzer, cfg_.ngrams, scratch.tok,
                    [&](std::string_view g) {
-                     const std::uint64_t h = std::hash<std::string_view>{}(g);
-                     std::size_t s = h & flat_mask_;
-                     for (std::int32_t idx; (idx = flat_[s].idx) != -1;
-                          s = (s + 1) & flat_mask_) {
-                       if (flat_[s].hash == h &&
-                           terms_[static_cast<std::size_t>(idx)] == g) {
-                         hit(idx);
-                         break;
-                       }
-                     }
+                     const std::int32_t idx = find_term(
+                         reinterpret_cast<const unsigned char*>(g.data()),
+                         g.size());
+                     if (idx >= 0) hit(idx);
                    });
 }
 

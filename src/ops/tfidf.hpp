@@ -112,8 +112,8 @@ class TfIdfModel {
   static TfIdfModel load(serialize::Reader& r);
 
  private:
-  /// Rebuild terms_ and the probe tables (flat_, plus packed_ when the
-  /// config qualifies) from vocab_ (after fit, load or copy).
+  /// Rebuild terms_, pool_ and the probe tables (flat_, plus packed_ when
+  /// the config qualifies) from vocab_ (after fit, load or copy).
   void finalize_index();
 
   /// Accumulate one document's vocab-hit counts into scratch (counts +
@@ -136,16 +136,26 @@ class TfIdfModel {
   // index -> term (views into vocab_ keys)
   std::vector<std::string_view> terms_;
 
+  /// Vocabulary index of the `n` bytes at `p` in the flat table, or -1.
+  std::int32_t find_term(const unsigned char* p, std::size_t n) const;
+
   /// Flat open-addressing vocabulary probe table: one contiguous access
   /// per probe instead of the unordered_map's bucket-node chase. The stored
-  /// hash filters almost every collision before the string compare, and
-  /// the compare keeps hits exact (bit-exact rows).
+  /// hash and length filter almost every collision before the byte compare
+  /// against the term pool, and the compare keeps hits exact (bit-exact
+  /// rows). Full-width fields, so a loaded vocabulary of any size probes
+  /// exactly.
   struct FlatSlot {
     std::uint64_t hash = 0;
+    std::size_t off = 0;    // first byte of the term in pool_
+    std::size_t len = 0;    // term length in bytes
     std::int32_t idx = -1;  // vocab index, -1 = empty
   };
   std::vector<FlatSlot> flat_;  // power-of-two size, >= 2x load headroom
   std::uint64_t flat_mask_ = 0;
+  // Both tables take a hash's top bits as the slot: slot = hash >> shift.
+  int flat_shift_ = 64;
+  std::string pool_;  // every term's bytes, index order, back to back
 
   /// Packed char n-gram probe table, built only for Analyzer::Char with
   /// max_n <= kMaxPackedN (empty otherwise). A key is the n-gram's bytes
@@ -156,8 +166,9 @@ class TfIdfModel {
     std::uint64_t key = 0;  // 0 = empty (a real key has len >= 1)
     std::int32_t idx = -1;
   };
-  std::vector<PackedSlot> packed_;  // flat_'s size, so flat_mask_ wraps it
-  int packed_shift_ = 64;           // multiply-shift: slot = (key*C) >> shift
+  // flat_'s size, so flat_mask_ and flat_shift_ serve it too (multiply-
+  // shift: slot = (key*C) >> flat_shift_).
+  std::vector<PackedSlot> packed_;
 };
 
 /// Graph node applying a fitted TF-IDF model to a string column.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -26,11 +25,18 @@ struct TokenizerScratch {
   std::string buf;                       // joined higher-order n-grams
 };
 
+/// Word-analyzer whitespace: the C locale's `isspace` set (' ', \t, \n, \v,
+/// \f, \r), as a byte predicate. Whatever locale the host process sets,
+/// the same bytes split tokens at fit and at serve time.
+inline bool is_word_space(unsigned char c) {
+  return c == ' ' || static_cast<unsigned char>(c - '\t') < 5;
+}
+
 /// Emit every n-gram of `s` under (analyzer, range) to `sink`, reusing
 /// `scratch` across calls. Templated on the sink so the per-gram callback
 /// inlines (no std::function dispatch in the hot loop).
 ///
-/// Word analyzer: whitespace tokens joined by a single space.
+/// Word analyzer: is_word_space tokens joined by a single space.
 /// Char analyzer: sliding character windows (including spaces, as in
 /// scikit-learn's `analyzer='char'`).
 template <typename Sink>
@@ -55,9 +61,9 @@ void for_each_ngram_t(std::string_view s, Analyzer analyzer, NgramRange range,
   tokens.clear();
   std::size_t i = 0;
   while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && is_word_space(static_cast<unsigned char>(s[i]))) ++i;
     const std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    while (i < s.size() && !is_word_space(static_cast<unsigned char>(s[i]))) ++i;
     if (i > start) tokens.push_back(s.substr(start, i - start));
   }
 

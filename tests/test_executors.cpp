@@ -16,6 +16,7 @@
 #include "workloads/product.hpp"
 #include "workloads/toxic.hpp"
 #include "workloads/tracking.hpp"
+#include "test_support.hpp"
 
 namespace willump::core {
 namespace {
@@ -327,6 +328,9 @@ TEST(Executors, CompiledMatchesInterpretedOracleOnWorkloadGraphs) {
     ExecOptions full;
     full.fg_mask.assign(compiled.analysis().num_generators(), true);
     const data::FeatureMatrix ref = oracle.compute_matrix(batch, full);
+    // assemble's k-way concat is shared by both engines: check it against
+    // the test-local pairwise fold on every workload's real blocks.
+    expect_bit_equal(ref, testing::pairwise_fold_reference(oracle, batch, full));
     for (const bool zero_copy : {false, true}) {
       SCOPED_TRACE(zero_copy ? "zero_copy on" : "zero_copy off");
       compiled.set_featureop_config({.zero_copy = zero_copy});

@@ -10,9 +10,10 @@
 //  - KeywordCountOp's one-pass automaton matches a test-local per-keyword
 //    find loop, and its constructor rejects keyword lists above the cap;
 //  - the compiled executor's zero-copy planned assembly (dense plan,
-//    single-sparse plan, mixed fused concat) produces the same matrix as
-//    the reference compute_blocks + pairwise-hconcat path, full and masked,
-//    including the post-concatenation chain;
+//    single-sparse plan, mixed k-way concat) produces the same matrix as
+//    the reference compute_blocks + assemble path, full and masked,
+//    including the post-concatenation chain, and both match a test-local
+//    pairwise-hconcat fold of the blocks;
 //  - sparse GBDT CSR traversal == densify-block traversal == dense input;
 //  - op-level configs round-trip exactly, bytes carrying retired choices
 //    load onto the survivor, and corrupt bytes are rejected;
@@ -23,6 +24,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -174,18 +176,51 @@ TEST(TfIdfBlocked, CopiedModelKeepsLookupValid) {
 // ---------------------------------------------------------------------------
 // Independent TF-IDF oracle. The kernel's counter and row builder are shared
 // by transform_into and transform_one, so the pair above cannot catch a bug
-// in them. The oracle gets n-grams from ngrams_of and vocabulary hits from
-// term_index (the vocabulary map, not the kernel's probe tables), counts in
-// a string map, sorts by index, applies the smoothed idf recomputed from the
-// fit corpus, then l2-normalizes.
+// in them. The oracle gets n-grams from its own splitter and joiner
+// (std::isspace under the default "C" locale, not the library tokenizer)
+// and vocabulary hits from term_index (the vocabulary map, not the kernel's
+// probe tables), counts in a string map, sorts by index, applies the
+// smoothed idf recomputed from the fit corpus, then l2-normalizes.
 // ---------------------------------------------------------------------------
+
+/// Every n-gram of `doc`: words split on std::isspace and joined by one
+/// space, or sliding byte windows for the char analyzer.
+std::vector<std::string> oracle_ngrams(const std::string& doc,
+                                       const ops::TfIdfConfig& cfg) {
+  std::vector<std::string> units;
+  if (cfg.analyzer == ops::Analyzer::Word) {
+    std::string cur;
+    for (const char ch : doc) {
+      if (std::isspace(static_cast<unsigned char>(ch)) != 0) {
+        if (!cur.empty()) units.push_back(cur);
+        cur.clear();
+      } else {
+        cur += ch;
+      }
+    }
+    if (!cur.empty()) units.push_back(cur);
+  } else {
+    for (const char ch : doc) units.emplace_back(1, ch);
+  }
+  const std::string sep = cfg.analyzer == ops::Analyzer::Word ? " " : "";
+  std::vector<std::string> grams;
+  for (int n = cfg.ngrams.min_n; n <= cfg.ngrams.max_n; ++n) {
+    const auto un = static_cast<std::size_t>(n);
+    for (std::size_t k = 0; k + un <= units.size(); ++k) {
+      std::string g = units[k];
+      for (std::size_t j = 1; j < un; ++j) g += sep + units[k + j];
+      grams.push_back(g);
+    }
+  }
+  return grams;
+}
 
 /// Smoothed idf of every n-gram of the fit corpus (scikit-learn formula).
 std::map<std::string, double> oracle_idf(const data::StringColumn& corpus,
                                          const ops::TfIdfConfig& cfg) {
   std::map<std::string, double> df;
   for (const auto& doc : corpus) {
-    const auto grams = ops::ngrams_of(doc, cfg.analyzer, cfg.ngrams);
+    const auto grams = oracle_ngrams(doc, cfg);
     for (const auto& g : std::set<std::string>(grams.begin(), grams.end())) {
       df[g] += 1.0;
     }
@@ -200,7 +235,7 @@ data::SparseVector oracle_row(const ops::TfIdfModel& m,
                               const std::string& doc) {
   const ops::TfIdfConfig& cfg = m.config();
   std::map<std::string, double> counts;
-  for (const auto& g : ops::ngrams_of(doc, cfg.analyzer, cfg.ngrams)) {
+  for (const auto& g : oracle_ngrams(doc, cfg)) {
     counts[g] += 1.0;
   }
   std::vector<data::SparseEntry> entries;
@@ -265,13 +300,34 @@ TEST(TfIdfOracle, KernelMatchesIndependentReferenceBitExact) {
                         {ops::Analyzer::Char, {2, 3}}, {ops::Analyzer::Char, {3, 5}},
                         {ops::Analyzer::Char, {1, 7}}, {ops::Analyzer::Char, {6, 9}}};
   common::Rng rng(71);
-  const data::StringColumn corpus = oracle_corpus(120, rng);
+  data::StringColumn corpus = oracle_corpus(120, rng);
   data::StringColumn docs{
       ""s,          " "s,          "a"s,           "ab"s,
       "abcdefg"s,   "abcdefgh"s,   "caf\xc3\xa9"s, "\xff\xfe\x80\xff\xfe\x80"s,
       "a\0b"s,      "\0\0\0\0\0\0\0\0"s, "nul\0\0end nul\0\0end"s,
       "aaaaaaaaa"s, "abcabcabc abcabcabc"s,    "red red red red"s,
       "the  fox\tthe fox"s};
+  const data::StringColumn whitespace_docs{
+      // Each C-locale space byte alone and in runs, around words.
+      "red blue"s, "red\tblue"s, "red\nblue"s, "red\vblue"s, "red\fblue"s,
+      "red\rblue"s, "red \t\n\v\f\rblue\r\r\vred"s, "red\n\nblue\f\fred"s,
+      // Leading and trailing whitespace; whitespace only.
+      "  red blue"s, "red blue \t"s, "\n\vred\f"s, " \t\n\v\f\r"s, "\r\r\r"s,
+      // Bytes that are not space in the C locale stay inside a token.
+      "red\x1c" "blue"s, "red\x1d" "blue\x1e" "red\x1f" "blue"s,
+      "red\x85" "blue"s, "red\xa0" "blue"s, "\xa0 \x85 \x1c"s,
+      // Tokens of 7, 8, 9 and 16 bytes: either side of the hash's 8-byte
+      // chunk.
+      "abcdefg abcdefgh abcdefghi abcdefghijklmnop"s,
+      "abcdefghijklmnop abcdefghi abcdefgh abcdefg"s,
+      // An embedded NUL inside and between tokens.
+      "red\0blue red \0 blue"s};
+  // These also join the fit corpus, so their tokens are in the vocabulary
+  // and every probe has a term to find.
+  for (const auto& d : whitespace_docs) {
+    corpus.push_back(d);
+    docs.push_back(d);
+  }
   for (const auto& d : oracle_corpus(60, rng)) docs.push_back(d);
 
   for (const auto& c : cases) {
@@ -507,7 +563,8 @@ data::Batch numeric_batch(std::size_t rows, std::uint64_t seed) {
 }
 
 /// Compare the zero-copy planner against the forced-off reference on one
-/// executor, full or masked.
+/// executor, full or masked, and both against the test-local pairwise fold
+/// (the reference path's k-way concat is library code too).
 void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
                                         const std::vector<bool>& mask) {
   core::CompiledExecutor ex(g, core::analyze_ifvs(g));
@@ -517,6 +574,7 @@ void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
 
   ex.set_featureop_config({.zero_copy = false});
   const data::FeatureMatrix ref = ex.compute_matrix(batch, opts);
+  expect_bit_equal(ref, testing::pairwise_fold_reference(ex, batch, opts));
   ex.set_featureop_config({.zero_copy = true});
   expect_bit_equal(ex.compute_matrix(batch, opts), ref);
 }

@@ -286,6 +286,39 @@ struct ExecutorFixture {
   }
 };
 
+/// Test-local assembly reference that shares no code with hconcat_all:
+/// `ex`'s selected compute_blocks folded left to right with pairwise
+/// FeatureMatrix::hconcat, then the post-concatenation chain (whole ops on
+/// a full selection, their column slices otherwise), as Executor::assemble
+/// defines it.
+inline data::FeatureMatrix pairwise_fold_reference(
+    const core::Executor& ex, const data::Batch& batch,
+    const core::ExecOptions& opts) {
+  const std::vector<data::FeatureMatrix> blocks =
+      ex.compute_blocks(batch, opts);
+  const auto& mask = opts.fg_mask;
+  data::FeatureMatrix m;
+  bool full = true;
+  for (std::size_t f = 0; f < blocks.size(); ++f) {
+    if (mask.empty() || (f < mask.size() && mask[f])) {
+      m = data::FeatureMatrix::hconcat(m, blocks[f]);
+    } else {
+      full = false;
+    }
+  }
+  for (const int post : ex.analysis().post_chain) {
+    const ops::Operator& op = *ex.graph().node(post).op;
+    if (full) {
+      const data::Value v[1] = {data::Value(std::move(m))};
+      m = op.eval_batch(v).features();
+    } else {
+      m = dynamic_cast<const ops::ColumnSliceable&>(op).apply_columns(
+          m, ex.analysis().columns_of(mask));
+    }
+  }
+  return m;
+}
+
 /// Process-wide Toxic fixture (built on first use).
 inline ExecutorFixture& shared_toxic() {
   static ExecutorFixture f(small_toxic_cached(), "toxic-cascade", kToxicSeed);

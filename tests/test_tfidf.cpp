@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <stdexcept>
 
 #include "ops/tokenizer.hpp"
@@ -47,6 +49,19 @@ TEST(Tokenizer, HugeMaxNStopsAtTheInputLength) {
   constexpr int kHuge = std::numeric_limits<int>::max();
   EXPECT_EQ(ngrams_of("abc", Analyzer::Char, {2, kHuge}).size(), 3u);
   EXPECT_EQ(ngrams_of("a b c", Analyzer::Word, {2, kHuge}).size(), 3u);
+}
+
+TEST(Tokenizer, WhitespaceIsTheCLocaleSet) {
+  // The library never calls setlocale, so std::isspace here is the "C"
+  // locale's: the word tokenizer splits on exactly those six bytes.
+  for (int c = 0; c < 256; ++c) {
+    const auto u = static_cast<unsigned char>(c);
+    const bool space = std::isspace(u) != 0;
+    EXPECT_EQ(is_word_space(u), space) << "byte " << c;
+    const std::string doc{'a', static_cast<char>(u), 'b'};
+    EXPECT_EQ(ngrams_of(doc, Analyzer::Word, {1, 1}).size(), space ? 2u : 1u)
+        << "byte " << c;
+  }
 }
 
 data::StringColumn corpus() {
