@@ -388,15 +388,13 @@ int main(int argc, char** argv) {
 
   const auto wl_music = make_workload("music");
   const auto wl_toxic = make_workload("toxic");
-  // Pin the kernel/feature-op configs instead of autotuning: the tuner
-  // picks by *timing*, so under a loaded machine (parallel ctest) it can
-  // install a different plan — e.g. zero-copy off — which changes the
-  // allocation profile of both arms. A memory bench measures the intended
-  // serving path, deterministically; pinning also keeps the artifact bytes
-  // identical run to run (no measured timings in the KERN section).
+  // Pin the kernel config instead of autotuning: the tuner picks by
+  // *timing*, so under a loaded machine (parallel ctest) it can install a
+  // different plan. A memory bench measures the intended serving path,
+  // deterministically; pinning also keeps the artifact bytes identical run
+  // to run (no measured timings in the KERN section).
   auto opts = compiled_config();
   opts.kernel_config = kernels::KernelConfig{};
-  opts.featureop_config = kernels::FeatureOpConfig{};
   const auto music = optimize(wl_music, opts);
   const auto toxic = optimize(wl_toxic, opts);
 

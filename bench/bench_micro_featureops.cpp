@@ -11,10 +11,9 @@
 // `--trend` asserts the layer's acceptance floors: blocked TF-IDF >= 2x the
 // per-document scalar reference, keyword counts bit-exact with the find
 // loop (speed reported, no floor), CSR GBDT traversal >= 1.3x densify on
-// wide-sparse inputs, music feature stage >= 1.5x and end-to-end music
-// >= 1.3x over the zero-copy-off reference with bit-exact predictions, and
-// the op-level autotuned pipeline never losing to the forced reference.
-// The pre-kernel pairwise-hconcat fold is reported, no floor.
+// wide-sparse inputs, and music feature stage >= 1.5x and end-to-end music
+// >= 1.3x over the reference compute_blocks + assemble path with bit-exact
+// predictions. The pre-kernel pairwise-hconcat fold is reported, no floor.
 // The nightly ctest tier drives it this way; `--smoke` only proves the
 // binary runs end-to-end.
 
@@ -22,7 +21,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <numeric>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -30,10 +28,7 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "core/executors.hpp"
-#include "core/ifv_analysis.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
 #include "ops/string_ops.hpp"
@@ -351,7 +346,7 @@ void bench_sparse_gbdt() {
 
 /// The pre-kernel assembly shape: per-op blocks from compute_blocks folded
 /// left to right with pairwise FeatureMatrix::hconcat. The library's
-/// zero-copy-off path assembles with the one-pass k-way concat instead, so
+/// reference path assembles with the one-pass k-way concat instead, so
 /// this shape lives here, as transform_old_shape does for TF-IDF. Music has
 /// no post-concat chain.
 data::FeatureMatrix pairwise_fold_matrix(const core::OptimizedPipeline& p,
@@ -366,74 +361,59 @@ data::FeatureMatrix pairwise_fold_matrix(const core::OptimizedPipeline& p,
   return out;
 }
 
+/// The library's reference assembly: per-op blocks from compute_blocks
+/// joined by Executor::assemble's k-way concat — the path cascades, the
+/// feature cache and the thread pool serve through. `scratch` may be null.
+data::FeatureMatrix reference_matrix(const core::OptimizedPipeline& p,
+                                     const data::Batch& batch,
+                                     core::ExecScratch* scratch) {
+  core::ExecOptions opts;
+  opts.scratch = scratch;
+  return p.executor().assemble(p.executor().compute_blocks(batch, opts), {});
+}
+
 /// Sections 4+5: feature-stage and end-to-end contribution on music
-/// (Figure 5's shape: six table-lookup generators feeding a GBDT). All
-/// arms share one forced model-kernel config so the pipelines differ ONLY
-/// in the feature layer: the reference arm is the library's zero-copy-off
-/// fallback (per-op blocks plus the k-way concat), the zero-copy arm writes
-/// lookup rows straight into the final matrix, and the autotuned arm lets
-/// the op-level tuner pick. The pairwise-fold row (pairwise_fold_matrix)
-/// is reported only.
+/// (Figure 5's shape: six table-lookup generators feeding a GBDT). One
+/// pipeline with a forced model-kernel config serves every arm, so the arms
+/// differ ONLY in how features are assembled: the reference arm runs
+/// compute_blocks + assemble, the zero-copy arm is compute_matrix, which
+/// writes lookup rows straight into the final matrix. The pairwise-fold
+/// row (pairwise_fold_matrix) is reported only.
 void bench_music() {
   std::printf("\n-- Music feature stage + end-to-end (zero-copy assembly) --\n");
   const auto wl = make_workload("music");
   const std::size_t rows = wl.test.inputs.num_rows();
 
-  core::OptimizeOptions ref_opts = compiled_config();
-  ref_opts.kernel_config = kernels::native_config();
-  ref_opts.featureop_config = kernels::FeatureOpConfig{.zero_copy = false};
-  const auto reference = optimize(wl, ref_opts);
+  core::OptimizeOptions opts = compiled_config();
+  opts.kernel_config = kernels::native_config();
+  const auto pipeline = optimize(wl, opts);
+  const auto& model = pipeline.full_model();
 
-  core::OptimizeOptions zc_opts = ref_opts;
-  zc_opts.featureop_config = kernels::FeatureOpConfig{.zero_copy = true};
-  const auto zero_copy = optimize(wl, zc_opts);
-
-  // A forced kernel config (which isolates the op layer) skips the
-  // optimizer's whole autotuner, op stage included, so the op-level tuner
-  // runs here directly on the training sample the optimizer would time,
-  // and the autotuned arm serves its pick.
-  const kernels::AutotuneConfig acfg;
-  std::vector<std::size_t> sample_rows(
-      std::min(acfg.sample_rows, wl.train.inputs.num_rows()));
-  std::iota(sample_rows.begin(), sample_rows.end(), std::size_t{0});
-  const data::Batch sample = wl.train.inputs.select_rows(sample_rows);
-  core::CompiledExecutor op_probe(wl.pipeline.graph,
-                                  core::analyze_ifvs(wl.pipeline.graph));
-  op_probe.probe_layout(sample);
-  std::vector<kernels::VariantTiming> op_timings;
-  core::OptimizeOptions tuned_opts = ref_opts;
-  tuned_opts.featureop_config =
-      core::tune_feature_ops(op_probe, sample, acfg, &op_timings);
-  const auto tuned = optimize(wl, tuned_opts);
-
-  const auto feature_tput = [&](const core::OptimizedPipeline& p) {
-    return throughput_rows_per_sec(rows, reps(), [&] {
-      (void)p.executor().compute_matrix(wl.test.inputs);
-    });
-  };
-  const auto e2e_tput = [&](const core::OptimizedPipeline& p) {
-    return throughput_rows_per_sec(
-        rows, reps(), [&] { (void)p.predict(wl.test.inputs); });
-  };
-
-  // The pairwise-fold row runs the reference pipeline's blocks through the
-  // fold, and its model on the result.
+  // Each reference row mirrors its zero-copy row: the feature stage runs
+  // without a scratch, like compute_matrix; end to end it uses the served
+  // path's per-thread scratch, like the pipeline's own predict.
+  core::ExecScratch* const served_scratch = core::request_scratch();
   core::ExecScratch fold_scratch;
-  std::vector<double> fold_out(rows);
+  std::vector<double> out(rows);
   const double fold_feat = throughput_rows_per_sec(rows, reps(), [&] {
-    (void)pairwise_fold_matrix(reference, wl.test.inputs, fold_scratch);
+    (void)pairwise_fold_matrix(pipeline, wl.test.inputs, fold_scratch);
   });
-  const double ref_feat = feature_tput(reference);
-  const double zc_feat = feature_tput(zero_copy);
-  const double tuned_feat = feature_tput(tuned);
+  const double ref_feat = throughput_rows_per_sec(rows, reps(), [&] {
+    (void)reference_matrix(pipeline, wl.test.inputs, nullptr);
+  });
+  const double zc_feat = throughput_rows_per_sec(rows, reps(), [&] {
+    (void)pipeline.executor().compute_matrix(wl.test.inputs);
+  });
   const double fold_e2e = throughput_rows_per_sec(rows, reps(), [&] {
-    reference.full_model().predict_into(
-        pairwise_fold_matrix(reference, wl.test.inputs, fold_scratch),
-        fold_out);
+    model.predict_into(
+        pairwise_fold_matrix(pipeline, wl.test.inputs, fold_scratch), out);
   });
-  const double ref_e2e = e2e_tput(reference);
-  const double zc_e2e = e2e_tput(zero_copy);
-  const double tuned_e2e = e2e_tput(tuned);
+  const double ref_e2e = throughput_rows_per_sec(rows, reps(), [&] {
+    model.predict_into(
+        reference_matrix(pipeline, wl.test.inputs, served_scratch), out);
+  });
+  const double zc_e2e = throughput_rows_per_sec(
+      rows, reps(), [&] { (void)pipeline.predict(wl.test.inputs); });
 
   TablePrinter table({"config", "feat rows/s", "e2e rows/s", "e2e speedup"});
   table.print_header();
@@ -443,22 +423,14 @@ void bench_music() {
                    "1.00x"});
   table.print_row({"zero-copy", fmt("%.0f", zc_feat), fmt("%.0f", zc_e2e),
                    fmt("%.2fx", zc_e2e / ref_e2e)});
-  table.print_row({"autotuned", fmt("%.0f", tuned_feat), fmt("%.0f", tuned_e2e),
-                   fmt("%.2fx", tuned_e2e / ref_e2e)});
 
-  std::printf("autotuned op config: zero_copy=%s\n",
-              tuned_opts.featureop_config->zero_copy ? "on" : "off");
-  for (const auto& t : op_timings) {
-    std::printf("autotune timing: %s %.1f us\n", t.name.c_str(),
-                t.seconds * 1e6);
-  }
-
-  // Bit-exact predictions: identical features => identical training =>
-  // identical models, so the arms must agree to the last bit.
-  const std::vector<double> pred_ref = reference.predict(wl.test.inputs);
-  const std::vector<double> pred_zc = zero_copy.predict(wl.test.inputs);
-  const std::vector<double> pred_fold = reference.full_model().predict(
-      pairwise_fold_matrix(reference, wl.test.inputs, fold_scratch));
+  // Bit-exact predictions: the three assemblies must build the same matrix,
+  // so the one model must agree with itself to the last bit.
+  const std::vector<double> pred_zc = pipeline.predict(wl.test.inputs);
+  const std::vector<double> pred_ref = model.predict(
+      reference_matrix(pipeline, wl.test.inputs, served_scratch));
+  const std::vector<double> pred_fold = model.predict(
+      pairwise_fold_matrix(pipeline, wl.test.inputs, fold_scratch));
   std::size_t mismatches = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     if (pred_ref[r] != pred_zc[r] || pred_fold[r] != pred_zc[r]) ++mismatches;
@@ -471,8 +443,6 @@ void bench_music() {
               "music feature stage >= 1.5x with zero-copy assembly");
   check_trend(zc_e2e >= 1.3 * ref_e2e,
               "music end-to-end >= 1.3x over per-op-block reference");
-  check_trend(tuned_e2e >= 0.95 * ref_e2e,
-              "op-autotuned pipeline never loses to the forced reference");
 }
 
 }  // namespace

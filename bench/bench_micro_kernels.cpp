@@ -233,7 +233,6 @@ void bench_linear() {
 
   double best = scalar;
   for (kernels::DotVariant v : kernels::candidate_dots()) {
-    if (v == kernels::DotVariant::Scalar) continue;
     c.dot = v;
     const double qps = time_config(model, c, x, out, iters);
     best = std::max(best, qps);
@@ -283,7 +282,6 @@ void bench_mlp() {
 
   double best = scalar;
   for (kernels::DotVariant v : kernels::candidate_dots()) {
-    if (v == kernels::DotVariant::Scalar) continue;
     c.dot = v;
     const double qps = time_config(model, c, x, out);
     best = std::max(best, qps);

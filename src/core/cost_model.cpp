@@ -44,13 +44,6 @@ double time_predict_into(const models::Model& m, const data::FeatureMatrix& x,
                                      [&m, &x, out] { m.predict_into(x, out); });
 }
 
-/// One feature-pipeline measurement: warmup then the median of `reps`
-/// compute_matrix runs (the quantity op-level choices change).
-double time_compute_matrix(const Executor& e, const data::Batch& b, int reps) {
-  (void)e.compute_matrix(b);
-  return common::time_median_seconds(reps, [&e, &b] { (void)e.compute_matrix(b); });
-}
-
 }  // namespace
 
 kernels::KernelConfig tune_model_kernels(
@@ -142,35 +135,8 @@ kernels::KernelConfig tune_model_kernels(
   return best;
 }
 
-kernels::FeatureOpConfig tune_feature_ops(
-    CompiledExecutor& executor, const data::Batch& sample,
-    const kernels::AutotuneConfig& cfg,
-    std::vector<kernels::VariantTiming>* timings) {
-  kernels::FeatureOpConfig best = executor.featureop_config();
-  if (sample.num_rows() == 0 || cfg.reps <= 0) return best;
-
-  // Zero-copy planned assembly off/on. Off is the reference blocks+hconcat
-  // path; both produce bit-identical matrices.
-  double best_s = std::numeric_limits<double>::infinity();
-  for (const bool zc : {false, true}) {
-    const kernels::FeatureOpConfig c{.zero_copy = zc};
-    executor.set_featureop_config(c);
-    const double s = time_compute_matrix(executor, sample, cfg.reps);
-    if (timings != nullptr) {
-      timings->push_back(
-          {std::string("ops/zero_copy:") + (zc ? "on" : "off"), s});
-    }
-    if (s < best_s) {
-      best_s = s;
-      best = c;
-    }
-  }
-  executor.set_featureop_config(best);
-  return best;
-}
-
 kernels::AutotuneReport autotune_pipeline_kernels(
-    TrainedCascade& cascade, Executor& executor,
+    TrainedCascade& cascade, const Executor& executor,
     const data::Batch& train_inputs, const kernels::AutotuneConfig& cfg) {
   kernels::AutotuneReport rep;
   rep.full = cascade.full_model->kernel_config();
@@ -194,11 +160,6 @@ kernels::AutotuneReport autotune_pipeline_kernels(
     rep.small = tune_model_kernels(*cascade.small_model,
                                    executor.compute_matrix(sample, eff), cfg,
                                    "small", &rep.timings);
-  }
-  if (auto* compiled = dynamic_cast<CompiledExecutor*>(&executor);
-      compiled != nullptr && cfg.tune_feature_ops) {
-    rep.ops = tune_feature_ops(*compiled, sample, cfg, &rep.timings);
-    rep.tuned_ops = true;
   }
   rep.tuned = true;
   return rep;

@@ -44,15 +44,6 @@ kernels::KernelConfig tune_model_kernels(
     const kernels::AutotuneConfig& cfg, const std::string& label,
     std::vector<kernels::VariantTiming>* timings);
 
-/// Time the op-level choice for a compiled executor's feature pipeline on a
-/// sample batch and install the winner: zero-copy planned assembly off/on.
-/// Same measurement discipline as tune_model_kernels; both choices are
-/// bit-exact, so timing is the only criterion.
-kernels::FeatureOpConfig tune_feature_ops(
-    CompiledExecutor& executor, const data::Batch& sample,
-    const kernels::AutotuneConfig& cfg,
-    std::vector<kernels::VariantTiming>* timings);
-
 /// Autotune both models of a trained cascade against features computed from
 /// a training-set sample (first `cfg.sample_rows` rows): the full model on
 /// the full feature matrix, the small model (when present) on the
@@ -60,13 +51,8 @@ kernels::FeatureOpConfig tune_feature_ops(
 /// kernel section persists; when there is nothing to measure (empty
 /// training set, zero reps) the models keep their configs and the report
 /// says tuned = false.
-///
-/// When the executor is compiled and `cfg.tune_feature_ops` is set, the
-/// op-level autotuner (tune_feature_ops) also runs against the sample and
-/// its winners are installed on the executor and recorded in the report
-/// (`tuned_ops` / `ops`) — hence the mutable executor reference.
 kernels::AutotuneReport autotune_pipeline_kernels(
-    TrainedCascade& cascade, Executor& executor,
+    TrainedCascade& cascade, const Executor& executor,
     const data::Batch& train_inputs, const kernels::AutotuneConfig& cfg);
 
 }  // namespace willump::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 
@@ -14,37 +13,20 @@ namespace willump::core {
 
 namespace {
 
-/// -1 = unset (read WILLUMP_ARENA on first use), else 0/1.
-std::atomic<int> g_request_scratch_enabled{-1};
-
-bool request_scratch_on() {
-  int v = g_request_scratch_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("WILLUMP_ARENA");
-    v = (e != nullptr && e[0] == '0' && e[1] == '\0') ? 0 : 1;
-    g_request_scratch_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-std::size_t request_arena_chunk_bytes() {
-  if (const char* e = std::getenv("WILLUMP_ARENA_CHUNK_KB")) {
-    const long kb = std::strtol(e, nullptr, 10);
-    if (kb > 0) return static_cast<std::size_t>(kb) * 1024;
-  }
-  return 256u * 1024;
-}
+std::atomic<bool> g_request_scratch_enabled{true};
 
 }  // namespace
 
 ExecScratch* request_scratch() {
-  if (!request_scratch_on()) return nullptr;
-  thread_local ExecScratch scratch(request_arena_chunk_bytes());
+  if (!g_request_scratch_enabled.load(std::memory_order_relaxed)) {
+    return nullptr;
+  }
+  thread_local ExecScratch scratch;
   return &scratch;
 }
 
 void set_request_scratch_enabled(bool enabled) {
-  g_request_scratch_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
+  g_request_scratch_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 namespace {
@@ -751,9 +733,9 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
   // Planning needs the probed layout and exclusive use of the sequential
   // step machinery; every other mode falls back to the reference path
   // (which produces the identical matrix).
-  if (!opcfg_.zero_copy || rows == 0 || opts.cache != nullptr ||
-      opts.pool != nullptr || opts.profiler != nullptr ||
-      opts.drivers != nullptr || analysis_.block_cols.size() != num_fg) {
+  if (rows == 0 || opts.cache != nullptr || opts.pool != nullptr ||
+      opts.profiler != nullptr || opts.drivers != nullptr ||
+      analysis_.block_cols.size() != num_fg) {
     return false;
   }
 

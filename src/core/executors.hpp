@@ -8,7 +8,6 @@
 #include "core/feature_cache.hpp"
 #include "core/graph.hpp"
 #include "core/ifv_analysis.hpp"
-#include "kernels/dispatch.hpp"
 #include "runtime/profiler.hpp"
 #include "runtime/thread_pool.hpp"
 
@@ -52,13 +51,13 @@ struct ExecScratch {
 };
 
 /// The calling thread's request scratch, or nullptr when arena-path reuse is
-/// disabled (WILLUMP_ARENA=0 or set_request_scratch_enabled(false)). The
-/// serving engine's worker threads each get their own instance lazily; the
-/// first-chunk size is WILLUMP_ARENA_CHUNK_KB (default 256).
+/// disabled by set_request_scratch_enabled(false). The serving engine's
+/// worker threads each get their own instance lazily, with the default
+/// 256 KiB first arena chunk.
 ExecScratch* request_scratch();
 
-/// Process-wide override of the WILLUMP_ARENA gate (benchmarks toggle the
-/// arena path to measure both sides in one process).
+/// Process-wide switch for the request scratch (on by default; benchmarks
+/// toggle it to measure both sides in one process).
 void set_request_scratch_enabled(bool enabled);
 
 /// Marshaling/kernel time split of a compiled execution — the analog of the
@@ -217,10 +216,10 @@ class CompiledExecutor final : public Executor {
   /// is allocated once and ops write their column slices (dense) or stream
   /// their CSR rows (sparse) straight into it — no per-op block, no
   /// concat copy; mixed selections run the k-way concat into it. Falls
-  /// back to the reference
-  /// compute_blocks+assemble path whenever planning does not apply
-  /// (caching, pooling, profiling, unknown layout, zero_copy disabled);
-  /// both paths produce bit-identical matrices.
+  /// back to the reference compute_blocks+assemble path whenever planning
+  /// does not apply (empty batch, caching, pooling, profiling, driver
+  /// accounting, unknown layout, a non-block-kernel terminal); both paths
+  /// produce bit-identical matrices.
   data::FeatureMatrix compute_matrix(const data::Batch& batch,
                                      const ExecOptions& opts = {}) const override;
 
@@ -233,11 +232,6 @@ class CompiledExecutor final : public Executor {
       const ExecOptions& opts = {}) const override;
 
   const CompiledPlan& plan() const { return plan_; }
-
-  /// Tuned feature-op choice (zero-copy planning). Set by the op-level
-  /// autotuner and by artifact deserialization.
-  void set_featureop_config(const kernels::FeatureOpConfig& c) { opcfg_ = c; }
-  const kernels::FeatureOpConfig& featureop_config() const { return opcfg_; }
 
  private:
   /// One compute entry's mutable state: the node store plus the optional
@@ -282,7 +276,6 @@ class CompiledExecutor final : public Executor {
                         data::FeatureMatrix& result) const;
 
   CompiledPlan plan_;
-  kernels::FeatureOpConfig opcfg_;
 };
 
 }  // namespace willump::core

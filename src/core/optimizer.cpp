@@ -53,8 +53,9 @@ void OptimizedPipeline::predict_into(const data::Batch& batch,
   ExecOptions opts = exec_options();
   // Per-worker reusable execution state (thread_local): node store, op
   // staging arena and result matrix keep their capacity across requests, so
-  // the steady-state serving path stops allocating. Disabled via
-  // WILLUMP_ARENA=0; predictions are bit-identical either way.
+  // the steady-state serving path stops allocating. Benchmarks switch it
+  // off with set_request_scratch_enabled; predictions are bit-identical
+  // either way.
   opts.scratch = request_scratch();
   if (cascades_enabled()) {
     // Accumulate run counters locally, then merge atomically: concurrent
@@ -120,15 +121,6 @@ OptimizedPipeline WillumpOptimizer::optimize(const Pipeline& pipeline,
   for (std::size_t i = 0; i < probe_n; ++i) probe_rows.push_back(i);
   executor->probe_layout(train.inputs.select_rows(probe_rows));
 
-  // A forced feature-op config is installed before any training or timing
-  // so every downstream compute_matrix (model fits, cost measurement,
-  // autotuning) runs the forced path. Tuning-based selection happens below
-  // with the kernel configs.
-  auto* compiled_exec = dynamic_cast<CompiledExecutor*>(executor.get());
-  if (compiled_exec != nullptr && opts.featureop_config.has_value()) {
-    compiled_exec->set_featureop_config(*opts.featureop_config);
-  }
-
   OptimizedPipeline out;
 
   // Optimization stage.
@@ -166,23 +158,14 @@ OptimizedPipeline WillumpOptimizer::optimize(const Pipeline& pipeline,
       out.autotune_.small = *opts.kernel_config;
     }
   } else if (opts.autotune_kernels) {
-    kernels::AutotuneConfig acfg = opts.autotune;
-    if (opts.featureop_config.has_value()) acfg.tune_feature_ops = false;
     out.autotune_ = autotune_pipeline_kernels(out.cascade_, *executor,
-                                              train.inputs, acfg);
+                                              train.inputs, opts.autotune);
   } else {
     out.autotune_.full = out.cascade_.full_model->kernel_config();
     if (out.cascade_.small_model != nullptr) {
       out.autotune_.has_small = true;
       out.autotune_.small = out.cascade_.small_model->kernel_config();
     }
-  }
-
-  // Record a forced feature-op config in the report so the artifact
-  // cold-starts with it (the autotuned path recorded its own winners above).
-  if (compiled_exec != nullptr && opts.featureop_config.has_value()) {
-    out.autotune_.tuned_ops = true;
-    out.autotune_.ops = *opts.featureop_config;
   }
 
   if (opts.feature_cache) {

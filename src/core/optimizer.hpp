@@ -47,11 +47,6 @@ struct OptimizeOptions {
   /// Force one kernel config on every model instead of tuning (benchmark
   /// baselines and ablations). Takes precedence over autotune_kernels.
   std::optional<kernels::KernelConfig> kernel_config;
-  /// Force the compiled executor's feature-op config (zero-copy assembly)
-  /// instead of tuning it — the feature-pipeline analog of kernel_config,
-  /// used for ablations. Takes precedence over op-level autotuning; ignored
-  /// by the interpreted engine.
-  std::optional<kernels::FeatureOpConfig> featureop_config;
 };
 
 /// The optimized pipeline Willump returns: same serving interface as the

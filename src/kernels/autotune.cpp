@@ -5,8 +5,46 @@
 
 namespace willump::kernels {
 
+namespace {
+
+// Survivor values written into the retired op-level slots: no op tuning
+// recorded, hash-map vocabulary lookup, 256-row dense assembly chunks,
+// planned (zero-copy) assembly, batched one-hot hashing.
+constexpr std::uint8_t kRetiredTuned = 0;
+constexpr std::uint8_t kRetiredLookup = 0;
+constexpr std::uint32_t kRetiredBlockRows = 256;
+constexpr std::uint32_t kMaxRetiredBlockRows = 1u << 20;
+constexpr std::uint8_t kRetiredZeroCopy = 1;
+constexpr std::uint8_t kRetiredOneHot = 1;
+
+void save_retired_op_slots(serialize::Writer& w) {
+  w.u8(kRetiredTuned);
+  w.u8(kRetiredLookup);
+  w.u32(kRetiredBlockRows);
+  w.u8(kRetiredZeroCopy);
+  if (w.format_version() >= 4) w.u8(kRetiredOneHot);
+}
+
+// Slots in order: tuned_ops flag, lookup, block_rows, zero_copy, and (v4
+// only) the one-hot shape. Any value a writer ever produced is accepted and
+// ignored; only bytes no writer produced are corrupt.
+void skip_retired_op_slots(serialize::Reader& r) {
+  const std::uint8_t tuned = r.u8();
+  const std::uint8_t lookup = r.u8();
+  const std::uint32_t block_rows = r.u32();
+  const std::uint8_t zero_copy = r.u8();
+  const std::uint8_t onehot = r.format_version() >= 4 ? r.u8() : 0;
+  if (tuned > 1 || lookup > 1 || block_rows == 0 ||
+      block_rows > kMaxRetiredBlockRows || zero_copy > 1 || onehot > 1) {
+    throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
+                                    "retired op-level slots out of range");
+  }
+}
+
+}  // namespace
+
 std::vector<DotVariant> candidate_dots() {
-  std::vector<DotVariant> out = {DotVariant::Scalar, DotVariant::Unrolled};
+  std::vector<DotVariant> out = {DotVariant::Unrolled};
   if (dot_supported(DotVariant::Avx2)) out.push_back(DotVariant::Avx2);
   if (dot_supported(DotVariant::Avx512)) out.push_back(DotVariant::Avx512);
   return out;
@@ -17,8 +55,7 @@ void save_autotune_report(serialize::Writer& w, const AutotuneReport& rep) {
   save_kernel_config(w, rep.full);
   w.u8(rep.has_small ? 1 : 0);
   save_kernel_config(w, rep.small);
-  w.u8(rep.tuned_ops ? 1 : 0);
-  save_featureop_config(w, rep.ops);
+  save_retired_op_slots(w);
   w.u64(rep.timings.size());
   for (const auto& t : rep.timings) {
     w.str(t.name);
@@ -42,13 +79,7 @@ AutotuneReport load_autotune_report(serialize::Reader& r) {
   }
   rep.has_small = has_small != 0;
   rep.small = load_kernel_config(r);
-  const std::uint8_t tuned_ops = r.u8();
-  if (tuned_ops > 1) {
-    throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
-                                    "autotune tuned_ops flag out of range");
-  }
-  rep.tuned_ops = tuned_ops != 0;
-  rep.ops = load_featureop_config(r);
+  skip_retired_op_slots(r);
   const std::uint64_t n = r.length(9, "autotune timing list");
   rep.timings.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {

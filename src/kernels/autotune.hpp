@@ -21,10 +21,6 @@ struct AutotuneConfig {
   int reps = 5;                  // timed repetitions per candidate (median)
   std::size_t sample_rows = 256; // rows of the training set to time against
   std::vector<std::uint32_t> tree_blocks = {8, 16, 32, 64};
-  /// Also tune the op-level choice (zero-copy assembly) on a compiled
-  /// executor. The optimizer turns this off when the caller forced
-  /// a FeatureOpConfig.
-  bool tune_feature_ops = true;
 };
 
 /// One timed candidate, kept for observability (surfaced by benches and
@@ -42,20 +38,23 @@ struct AutotuneReport {
   KernelConfig full;       // winner for the full (original) model
   bool has_small = false;  // cascades only
   KernelConfig small;      // winner for the small/approximate model
-  /// Op-level winners (feature pipeline, not models). tuned_ops says the
-  /// `ops` field is meaningful — set both by the op autotuner and by a
-  /// forced FeatureOpConfig — and tells artifact load to install it on the
-  /// compiled executor.
-  bool tuned_ops = false;
-  FeatureOpConfig ops;
   std::vector<VariantTiming> timings;
 };
 
-/// Dot-product variants worth timing on this CPU (always includes Scalar and
-/// Unrolled; AVX tiers only when supported, so tuning never times a variant
-/// that would silently downgrade).
+/// Dot-product variants worth timing on this CPU: Unrolled plus the AVX
+/// tiers the CPU supports, so tuning never times a variant that would
+/// silently downgrade. Scalar stays out: its one-accumulator CSR margin sums
+/// in a different order from every other variant's two, so a timing pick of
+/// Scalar would change a sparse linear model's bits. Every candidate's
+/// csr_margins is bit-identical; Scalar remains the tests' reference order.
 std::vector<DotVariant> candidate_dots();
 
+/// Serialize/deserialize a report. Between the kernel configs and the
+/// timings the layout keeps the slots of the retired op-level choices (a
+/// tuned flag, then 6 bytes in v3 artifacts, 7 in v4): save writes fixed
+/// survivor values, load range-checks the bytes (CorruptData) and then
+/// ignores them, since every retired choice was bit-exact with the path
+/// that now always runs.
 void save_autotune_report(serialize::Writer& w, const AutotuneReport& rep);
 AutotuneReport load_autotune_report(serialize::Reader& r);
 

@@ -100,36 +100,4 @@ KernelConfig load_kernel_config(serialize::Reader& r) {
   return c;
 }
 
-// Retired feature-op choices keep their KERN slots; these are the values of
-// the survivors every artifact now runs with (hash-map vocabulary lookup,
-// 256-row dense assembly chunks, batched one-hot hashing).
-constexpr std::uint8_t kRetiredLookup = 0;
-constexpr std::uint32_t kRetiredBlockRows = 256;
-constexpr std::uint8_t kRetiredOneHot = 1;
-
-void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c) {
-  w.u8(kRetiredLookup);
-  w.u32(kRetiredBlockRows);
-  w.u8(c.zero_copy ? 1 : 0);
-  if (w.format_version() >= 4) {
-    w.u8(kRetiredOneHot);
-  }
-}
-
-FeatureOpConfig load_featureop_config(serialize::Reader& r) {
-  const std::uint8_t lookup = r.u8();
-  const std::uint32_t block_rows = r.u32();
-  const std::uint8_t zero_copy = r.u8();
-  // v3 artifacts predate the one-hot slot.
-  const std::uint8_t onehot = r.format_version() >= 4 ? r.u8() : 0;
-  // Every retired value was bit-exact with its survivor, so a valid retired
-  // byte is ignored; only bytes no writer ever produced are corrupt.
-  if (lookup > 1 || block_rows == 0 || block_rows > kMaxBlockRows ||
-      zero_copy > 1 || onehot > 1) {
-    throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
-                                    "feature-op config out of range");
-  }
-  return FeatureOpConfig{.zero_copy = zero_copy != 0};
-}
-
 }  // namespace willump::kernels

@@ -57,19 +57,6 @@ struct KernelConfig {
   bool operator==(const KernelConfig&) const = default;
 };
 
-/// Pipeline-level feature-operator selection, tuned by the op-level
-/// autotuner and persisted in the artifact KERN section so load_model
-/// cold-starts with the tuned feature path.
-struct FeatureOpConfig {
-  bool zero_copy = true;  // plan contiguous output blocks in the executor
-
-  bool operator==(const FeatureOpConfig&) const = default;
-};
-
-/// Upper bound on the retired block_rows field of a serialized feature-op
-/// config (sanity bound for deserialization).
-inline constexpr std::uint32_t kMaxBlockRows = 1u << 20;
-
 /// Whether this CPU can execute `v` (Scalar/Unrolled always can).
 bool dot_supported(DotVariant v);
 
@@ -94,15 +81,5 @@ const char* variant_name(TreeVariant v);
 /// round-trips bit-exactly and is downgraded only at dispatch time.
 void save_kernel_config(serialize::Writer& w, const KernelConfig& c);
 KernelConfig load_kernel_config(serialize::Reader& r);
-
-/// Serialize/deserialize a feature-op config (fixed 6 bytes in v3
-/// artifacts, 7 in v4 — the one-hot variant byte rides the format-version
-/// gate the Writer/Reader carry). Besides zero_copy the layout keeps the
-/// slots of three retired choices (vocabulary lookup, assembly row-chunk
-/// size, one-hot shape): save writes the survivors' values, load still
-/// range-checks the bytes (CorruptData) and then ignores them, so artifacts
-/// tuned to a retired value load onto the bit-exact survivor.
-void save_featureop_config(serialize::Writer& w, const FeatureOpConfig& c);
-FeatureOpConfig load_featureop_config(serialize::Reader& r);
 
 }  // namespace willump::kernels

@@ -2,6 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define WILLUMP_X86_SIMD 1
+#include <immintrin.h>
+#endif
 
 namespace willump::kernels {
 
@@ -10,6 +17,119 @@ namespace {
 std::uint32_t clamp_block(std::uint32_t block) {
   return std::clamp<std::uint32_t>(block, 1, kMaxTreeBlock);
 }
+
+bool cpu_has_avx512f() {
+#ifdef WILLUMP_X86_SIMD
+  static const bool ok = __builtin_cpu_supports("avx512f");
+  return ok;
+#else
+  return false;
+#endif
+}
+
+#ifdef WILLUMP_X86_SIMD
+
+constexpr std::size_t kVecLanes = 8;  // doubles per 512-bit vector
+
+/// A shallow forest's padded perfect-tree arrays (FlatForest::vec_*_),
+/// with the column array of the path being traversed.
+struct VecForest {
+  const double* split;
+  const std::int64_t* col;
+  const double* leaf;
+  std::size_t stride;  // slots per tree in each array
+  std::int32_t depth;
+};
+
+/// One traversal step for eight rows: node thresholds `sp` and columns `c`
+/// at each lane's slot `pos`, x gathered at row offset + column, then the
+/// child slot, 2p+1 if x <= split else 2p+2. The compare is ordered, so NaN
+/// goes right, as in the scalar step.
+__attribute__((target("avx512f"))) inline __m512i vec_step(
+    __m512i pos, __m512i rowoff, __m512d sp, __m512i c, const double* x) {
+  // Masked gathers with a zero source throughout: GCC 12's unmasked forms
+  // pass an undefined source and trip -Wmaybe-uninitialized.
+  const __m512d xv = _mm512_mask_i64gather_pd(
+      _mm512_setzero_pd(), 0xFF, _mm512_add_epi64(rowoff, c), x, 8);
+  const __mmask8 go_left = _mm512_cmp_pd_mask(xv, sp, _CMP_LE_OQ);
+  const __m512i right =
+      _mm512_add_epi64(_mm512_add_epi64(pos, pos), _mm512_set1_epi64(2));
+  return _mm512_mask_sub_epi64(right, go_left, right, _mm512_set1_epi64(1));
+}
+
+/// Blocked traversal of a shallow forest, eight rows per 512-bit vector.
+/// A tree's top four levels (its first 15 slots) live in registers and a
+/// step there picks each lane's threshold and column with a two-register
+/// permute, so the only memory read is one gather of x; deeper levels
+/// gather threshold and column too, and so do leaves below level four.
+/// The scalar kernel makes five loads per row per step. Every vector
+/// advances one level before any advances the next, so the gathers of
+/// different vectors overlap. Each lane adds its leaves in tree order with
+/// a plain add, so the margins are bit-exact with the scalar kernel.
+/// Accumulates trees [t0, t1) into out[] for the `rows` rows of the
+/// row-major block `x`; `rows` is a multiple of kVecLanes and at most
+/// kMaxTreeBlock.
+__attribute__((target("avx512f"))) void margins_vec(
+    const VecForest& f, std::size_t t0, std::size_t t1, const double* x,
+    std::size_t rows, std::size_t stride, double* out) {
+  constexpr std::int32_t kRegLevels = 4;
+  const std::size_t nvec = rows / kVecLanes;
+  __m512i rowoff[kMaxTreeBlock / kVecLanes];
+  __m512i pos[kMaxTreeBlock / kVecLanes];
+  __m512d acc[kMaxTreeBlock / kVecLanes];
+  const auto s = static_cast<long long>(stride);
+  for (std::size_t v = 0; v < nvec; ++v) {
+    const auto o = static_cast<long long>(v * kVecLanes) * s;
+    rowoff[v] = _mm512_set_epi64(o + 7 * s, o + 6 * s, o + 5 * s, o + 4 * s,
+                                 o + 3 * s, o + 2 * s, o + s, o);
+    acc[v] = _mm512_loadu_pd(out + v * kVecLanes);
+  }
+  const std::int32_t reg_levels = std::min(f.depth, kRegLevels);
+  const __m512i first_leaf = _mm512_set1_epi64((1LL << f.depth) - 1);
+  const __m512d zero_pd = _mm512_setzero_pd();
+  const __m512i zero_si = _mm512_setzero_si512();
+  for (std::size_t t = t0; t < t1; ++t) {
+    const double* split = f.split + t * f.stride;
+    const std::int64_t* col = f.col + t * f.stride;
+    const double* leaf = f.leaf + t * f.stride;
+    const __m512d split_lo = _mm512_loadu_pd(split);
+    const __m512d split_hi = _mm512_loadu_pd(split + 8);
+    const __m512i col_lo = _mm512_loadu_si512(col);
+    const __m512i col_hi = _mm512_loadu_si512(col + 8);
+    for (std::size_t v = 0; v < nvec; ++v) pos[v] = zero_si;
+    for (std::int32_t lvl = 0; lvl < reg_levels; ++lvl) {
+      for (std::size_t v = 0; v < nvec; ++v) {
+        pos[v] = vec_step(pos[v], rowoff[v],
+                          _mm512_permutex2var_pd(split_lo, pos[v], split_hi),
+                          _mm512_permutex2var_epi64(col_lo, pos[v], col_hi),
+                          x);
+      }
+    }
+    for (std::int32_t lvl = reg_levels; lvl < f.depth; ++lvl) {
+      for (std::size_t v = 0; v < nvec; ++v) {
+        pos[v] = vec_step(
+            pos[v], rowoff[v],
+            _mm512_mask_i64gather_pd(zero_pd, 0xFF, pos[v], split, 8),
+            _mm512_mask_i64gather_epi64(zero_si, 0xFF, pos[v], col, 8), x);
+      }
+    }
+    const __m512d leaf_lo = _mm512_loadu_pd(leaf);
+    const __m512d leaf_hi = _mm512_loadu_pd(leaf + 8);
+    for (std::size_t v = 0; v < nvec; ++v) {
+      const __m512i slot = _mm512_sub_epi64(pos[v], first_leaf);
+      const __m512d out_v =
+          f.depth <= kRegLevels
+              ? _mm512_permutex2var_pd(leaf_lo, slot, leaf_hi)
+              : _mm512_mask_i64gather_pd(zero_pd, 0xFF, slot, leaf, 8);
+      acc[v] = _mm512_add_pd(acc[v], out_v);
+    }
+  }
+  for (std::size_t v = 0; v < nvec; ++v) {
+    _mm512_storeu_pd(out + v * kVecLanes, acc[v]);
+  }
+}
+
+#endif  // WILLUMP_X86_SIMD
 
 }  // namespace
 
@@ -24,6 +144,12 @@ void FlatForest::reset(double base) {
   depths_.clear();
   max_abs_leaf_.clear();
   suffix_abs_bound_.clear();
+  vec_depth_ = 0;
+  vec_stride_ = 0;
+  vec_split_.clear();
+  vec_col_.clear();
+  vec_ccol_.clear();
+  vec_leaf_.clear();
 }
 
 void FlatForest::add_tree(std::span<const std::int32_t> feature,
@@ -88,6 +214,49 @@ void FlatForest::finalize() {
         std::lower_bound(used_cols_.begin(), used_cols_.end(), col_[i]);
     ccol_[i] = static_cast<std::int32_t>(it - used_cols_.begin());
   }
+
+  // Padded perfect-tree copy for the vector traversal, when the CPU runs it
+  // and every tree is shallow enough for it (see tree.hpp for the layout).
+  vec_depth_ = 0;
+  for (const std::int32_t d : depths_) vec_depth_ = std::max(vec_depth_, d);
+  vec_split_.clear();
+  vec_col_.clear();
+  vec_ccol_.clear();
+  vec_leaf_.clear();
+  if (vec_depth_ > kVecTreeDepth || !cpu_has_avx512f()) {
+    vec_stride_ = 0;
+    return;
+  }
+  const std::size_t first_leaf = (std::size_t{1} << vec_depth_) - 1;
+  vec_stride_ = std::max<std::size_t>(first_leaf + 1, 16);
+  vec_split_.assign(t * vec_stride_, 0.0);
+  vec_col_.assign(t * vec_stride_, 0);
+  vec_ccol_.assign(t * vec_stride_, 0);
+  vec_leaf_.assign(t * vec_stride_, 0.0);
+  std::vector<std::pair<std::int32_t, std::size_t>> stack;
+  for (std::size_t k = 0; k < t; ++k) {
+    // Depth-first over (flat node, padded slot); a leaf above the bottom
+    // level walks on down both sides over zeroed padding split nodes.
+    const std::size_t base = k * vec_stride_;
+    stack.assign(1, {roots_[k], 0});
+    while (!stack.empty()) {
+      const auto [node, p] = stack.back();
+      stack.pop_back();
+      const std::size_t n = static_cast<std::size_t>(node);
+      if (p >= first_leaf) {
+        vec_leaf_[base + p - first_leaf] = split_[n];
+        continue;
+      }
+      const bool leaf = feature_[n] < 0;
+      if (!leaf) {
+        vec_split_[base + p] = split_[n];
+        vec_col_[base + p] = col_[n];
+        vec_ccol_[base + p] = ccol_[n];
+      }
+      stack.push_back({leaf ? node : left_[n], 2 * p + 1});
+      stack.push_back({leaf ? node : right_[n], 2 * p + 2});
+    }
+  }
 }
 
 void FlatForest::margins(TreeVariant v, std::uint32_t block, const double* x,
@@ -123,13 +292,13 @@ void FlatForest::margins_rowwise(const double* x, std::size_t rows,
 void FlatForest::margins_blocked(std::uint32_t block, const double* x,
                                  std::size_t rows, std::size_t stride,
                                  double* out) const {
-  margins_blocked_cols(col_.data(), block, x, rows, stride, out);
+  margins_blocked_cols(false, block, x, rows, stride, out);
 }
 
-void FlatForest::margins_blocked_cols(const std::int32_t* cols,
-                                      std::uint32_t block, const double* x,
-                                      std::size_t rows, std::size_t stride,
-                                      double* out) const {
+void FlatForest::margins_blocked_cols(bool compact, std::uint32_t block,
+                                      const double* x, std::size_t rows,
+                                      std::size_t stride, double* out) const {
+  const std::int32_t* cols = compact ? ccol_.data() : col_.data();
   const std::size_t trees = roots_.size();
   for (std::size_t r = 0; r < rows; ++r) out[r] = base_;
   if (trees == 0) return;
@@ -146,6 +315,12 @@ void FlatForest::margins_blocked_cols(const std::int32_t* cols,
   constexpr std::size_t kGroupBytes = 256 * 1024;
   const std::size_t node_bytes =
       sizeof(std::int32_t) * 3 + sizeof(double);  // col/left/right/split
+#ifdef WILLUMP_X86_SIMD
+  const bool vec = !vec_leaf_.empty();
+  const VecForest vf{vec_split_.data(),
+                     compact ? vec_ccol_.data() : vec_col_.data(),
+                     vec_leaf_.data(), vec_stride_, vec_depth_};
+#endif
   std::size_t g0 = 0;
   while (g0 < trees) {
     std::size_t g1 = g0;
@@ -159,7 +334,22 @@ void FlatForest::margins_blocked_cols(const std::int32_t* cols,
       ++g1;
     }
 
-    for (std::size_t r0 = 0; r0 < rows; r0 += block) {
+    // With AVX-512 and a shallow forest, whole vectors of rows take the
+    // vector kernel in kMaxTreeBlock-row chunks, whatever block size the
+    // scalar step is tuned to: the more vectors in flight, the more gather
+    // latency overlaps. The last rows % kVecLanes rows take the scalar step.
+    std::size_t scalar_begin = 0;
+#ifdef WILLUMP_X86_SIMD
+    if (vec) {
+      scalar_begin = rows / kVecLanes * kVecLanes;
+      for (std::size_t r0 = 0; r0 < scalar_begin; r0 += kMaxTreeBlock) {
+        margins_vec(vf, g0, g1, x + r0 * stride,
+                    std::min<std::size_t>(kMaxTreeBlock, scalar_begin - r0),
+                    stride, out + r0);
+      }
+    }
+#endif
+    for (std::size_t r0 = scalar_begin; r0 < rows; r0 += block) {
       const std::size_t bsz = std::min<std::size_t>(block, rows - r0);
       double acc[kMaxTreeBlock];
       std::int32_t idx[kMaxTreeBlock];
@@ -245,7 +435,7 @@ void FlatForest::margins_csr(const std::size_t* indptr,
         }
       }
     }
-    margins_blocked_cols(ccol_.data(), kMaxTreeBlock, scratch.data(), bsz, cd,
+    margins_blocked_cols(true, kMaxTreeBlock, scratch.data(), bsz, cd,
                          out + r0);
     for (const std::size_t slot : touched) scratch[slot] = 0.0;
   }

@@ -8,6 +8,10 @@
 
 namespace willump::kernels {
 
+/// Deepest tree the vector traversal takes. A forest whose trees are all
+/// this shallow keeps a padded perfect-tree copy of itself for it.
+inline constexpr std::int32_t kVecTreeDepth = 8;
+
 /// Flattened structure-of-arrays layout of a boosted forest, built once at
 /// fit/load time (the LightGBM predictor idiom). All trees' nodes live in
 /// four parallel contiguous arrays; children are absolute node ids, leaves
@@ -71,9 +75,9 @@ class FlatForest {
                        double* out) const;
   void margins_blocked(std::uint32_t block, const double* x, std::size_t rows,
                        std::size_t stride, double* out) const;
-  /// margins_blocked body over an arbitrary per-node column array (col_ for
-  /// the dense path, ccol_ for the compact-gather CSR path).
-  void margins_blocked_cols(const std::int32_t* cols, std::uint32_t block,
+  /// margins_blocked body over the dense columns (col_) or, if `compact`,
+  /// the compact-gather CSR path's columns (ccol_).
+  void margins_blocked_cols(bool compact, std::uint32_t block,
                             const double* x, std::size_t rows,
                             std::size_t stride, double* out) const;
 
@@ -89,6 +93,20 @@ class FlatForest {
   std::vector<double> suffix_abs_bound_;   // suffix sums of max_abs_leaf_
   std::vector<std::int32_t> used_cols_;    // sorted unique split features
   std::vector<std::int32_t> ccol_;         // col_ remapped into used_cols_
+  // Perfect-tree copy for the vector traversal, empty unless the CPU has
+  // AVX-512F and every tree is at most kVecTreeDepth deep. Each tree is
+  // padded to the forest's depth D and stored breadth-first in vec_stride_
+  // slots of each array: split node p has children 2p+1 (x <= split) and
+  // 2p+2, and after D steps a row sits at 2^D - 1 + its leaf slot. A leaf
+  // above the bottom level is copied into every slot beneath it (its
+  // padding nodes split on column 0), so any route through the padding
+  // reaches the same output.
+  std::int32_t vec_depth_ = 0;
+  std::size_t vec_stride_ = 0;          // max(2^D, 16)
+  std::vector<double> vec_split_;
+  std::vector<std::int64_t> vec_col_;   // dense column
+  std::vector<std::int64_t> vec_ccol_;  // column in the compact CSR scratch
+  std::vector<double> vec_leaf_;
 };
 
 }  // namespace willump::kernels

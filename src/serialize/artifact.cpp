@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -355,16 +354,6 @@ core::TrainedCascade load_cascade(Reader& r) {
 
 // --- pipeline artifact ----------------------------------------------------
 
-std::uint32_t artifact_write_version() {
-  const char* env = std::getenv("WILLUMP_WLMP_CODECS");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') return 3;
-  return kFormatVersion;
-}
-
-std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p) {
-  return pipeline_to_bytes(p, artifact_write_version());
-}
-
 std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p,
                                             std::uint32_t format_version) {
   const core::Executor& exec = p.executor();
@@ -471,14 +460,6 @@ core::OptimizedPipeline pipeline_from_bytes(
 
   Reader kern_r = section_reader(sections, kSecKernels, "kernel section");
   kernels::AutotuneReport autotune = kernels::load_autotune_report(kern_r);
-  // Op-level winners live on the executor, not the models: install them
-  // while it is still mutable so a loaded pipeline cold-starts tuned.
-  if (autotune.tuned_ops) {
-    if (auto* compiled =
-            dynamic_cast<core::CompiledExecutor*>(executor.get())) {
-      compiled->set_featureop_config(autotune.ops);
-    }
-  }
 
   core::OptimizedPipeline::Parts parts;
   parts.executor = std::move(executor);
@@ -503,12 +484,11 @@ core::OptimizedPipeline load_pipeline(const std::string& path) {
 // --- cascade bundle -------------------------------------------------------
 
 std::vector<std::uint8_t> cascade_bundle_to_bytes(const CascadeBundle& b) {
-  const std::uint32_t version = artifact_write_version();
-  Writer layout(version);
+  Writer layout;
   save_layout(layout, b.block_cols, b.col_begin, b.fg_costs);
-  Writer cascade(version);
+  Writer cascade;
   save_cascade(cascade, b.cascade);
-  return pack(kCascadeKind, version,
+  return pack(kCascadeKind, kFormatVersion,
               {{kSecLayout, layout.take()}, {kSecCascade, cascade.take()}});
 }
 
@@ -639,14 +619,13 @@ core::LabeledData load_labeled(Reader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> split_bundle_to_bytes(const SplitBundle& b) {
-  const std::uint32_t version = artifact_write_version();
-  Writer w(version);
+  Writer w;
   w.str(b.workload);
   w.u8(b.classification ? 1 : 0);
   save_labeled(w, b.train);
   save_labeled(w, b.valid);
   save_labeled(w, b.test);
-  return pack(kSplitKind, version, {{kSecSplits, w.take()}});
+  return pack(kSplitKind, kFormatVersion, {{kSecSplits, w.take()}});
 }
 
 SplitBundle split_bundle_from_bytes(std::span<const std::uint8_t> bytes) {

@@ -45,16 +45,12 @@ namespace willump::serialize {
 /// write_file_atomic (temp file + rename: last writer wins whole). None
 /// of these functions block beyond file I/O.
 
-/// The version save paths emit by default: kFormatVersion, or 3 when the
-/// WILLUMP_WLMP_CODECS=0 kill switch disables the v4 codecs (artifacts
-/// then reproduce the legacy fixed-width layout byte for byte).
-std::uint32_t artifact_write_version();
-
-/// Serialize a trained pipeline. Throws std::logic_error if the pipeline
-/// contains an op or model outside the serialization registries.
-std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p);
-std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p,
-                                            std::uint32_t format_version);
+/// Serialize a trained pipeline, as kFormatVersion unless `format_version`
+/// asks for the legacy fixed-width v3 layout. Throws std::logic_error if the
+/// pipeline contains an op or model outside the serialization registries.
+std::vector<std::uint8_t> pipeline_to_bytes(
+    const core::OptimizedPipeline& p,
+    std::uint32_t format_version = kFormatVersion);
 
 /// Reconstruct a pipeline; the artifact is self-contained (fitted
 /// vocabularies, model weights, cascade thresholds, and feature tables all

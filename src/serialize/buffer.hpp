@@ -20,8 +20,8 @@ namespace willump::serialize {
 /// autotune-report section.
 /// v3: kernel configs gain a sparse-traversal cutoff; the 'KERN' report
 /// gains the op-level feature-pipeline winners (lookup strategy, zero-copy
-/// assembly, row-chunk size), installed on the compiled executor at load.
-/// All but zero-copy are since retired; their bytes stay in the layout.
+/// assembly, row-chunk size). All are since retired; their bytes stay in
+/// the layout, written as fixed survivor values and ignored at load.
 /// v4: per-section codecs — varint length prefixes, delta-coded sorted
 /// integer keys, a dictionary codec for repetitive double vectors, and
 /// front-coded TF-IDF vocabularies — each carrying a CRC-32 over the
@@ -69,7 +69,7 @@ inline std::uint32_t crc32_i64_le(std::span<const std::int64_t> xs) {
 /// The writer carries the artifact format version it is producing: v4
 /// writers emit varint length prefixes and the dictionary/delta codecs,
 /// v3 writers reproduce the legacy fixed-width layout byte for byte (the
-/// backward-compat fixtures and the codec kill switch both rely on this).
+/// backward-compat fixtures rely on this).
 /// Op and model serializers never branch on the version themselves — it
 /// travels inside the Writer they were handed.
 ///

@@ -3,12 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <string>
 #include <vector>
 
-#include "kernels/autotune.hpp"
 #include "test_support.hpp"
-#include "workloads/price.hpp"
 
 namespace willump::core {
 namespace {
@@ -63,55 +60,6 @@ TEST(CostModel, RemoteNetworkRaisesLookupCosts) {
   const double remote_total =
       std::accumulate(remote.begin(), remote.end(), 0.0);
   EXPECT_GT(remote_total, local_total);
-}
-
-/// The "ops/" entries of a timing table, in timing order.
-std::vector<std::string> op_timing_names(
-    const std::vector<kernels::VariantTiming>& timings) {
-  std::vector<std::string> names;
-  for (const auto& t : timings) {
-    if (t.name.rfind("ops/", 0) == 0) names.push_back(t.name);
-  }
-  return names;
-}
-
-const std::vector<std::string> kZeroCopyOnly{"ops/zero_copy:off",
-                                             "ops/zero_copy:on"};
-
-TEST(CostModel, FeatureOpTuningTimesOnlyZeroCopy) {
-  // Price's graph hashes brand/category one-hots and runs TF-IDF on names:
-  // zero-copy assembly is still the only op-level choice the tuner times.
-  workloads::PriceConfig cfg;
-  cfg.sizes = {.train = 500, .valid = 200, .test = 200};
-  cfg.name_tfidf_features = 200;
-  const auto wl = workloads::make_price(cfg);
-  CompiledExecutor ex(wl.pipeline.graph, analyze_ifvs(wl.pipeline.graph));
-  std::vector<std::size_t> probe_rows{0, 1, 2, 3};
-  ex.probe_layout(wl.train.inputs.select_rows(probe_rows));
-
-  std::vector<std::size_t> rows(64);
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
-  const data::Batch sample = wl.train.inputs.select_rows(rows);
-
-  kernels::AutotuneConfig acfg;
-  acfg.reps = 1;
-  std::vector<kernels::VariantTiming> timings;
-  const kernels::FeatureOpConfig winner =
-      tune_feature_ops(ex, sample, acfg, &timings);
-  EXPECT_EQ(ex.featureop_config(), winner);
-  EXPECT_EQ(op_timing_names(timings), kZeroCopyOnly);
-}
-
-TEST(CostModel, OptimizedToxicReportsOnlyZeroCopyOpTimings) {
-  auto& f = willump::testing::shared_toxic();
-  OptimizeOptions opts;
-  opts.cascades = true;
-  opts.autotune.reps = 1;
-  opts.autotune.sample_rows = 32;
-  const auto p =
-      WillumpOptimizer::optimize(f.wl.pipeline, f.wl.train, f.wl.valid, opts);
-  ASSERT_TRUE(p.autotune_report().tuned_ops);
-  EXPECT_EQ(op_timing_names(p.autotune_report().timings), kZeroCopyOnly);
 }
 
 TEST(CostModel, CascadeStatsUseMeasuredCosts) {

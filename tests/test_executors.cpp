@@ -331,11 +331,12 @@ TEST(Executors, CompiledMatchesInterpretedOracleOnWorkloadGraphs) {
     // assemble's k-way concat is shared by both engines: check it against
     // the test-local pairwise fold on every workload's real blocks.
     expect_bit_equal(ref, testing::pairwise_fold_reference(oracle, batch, full));
-    for (const bool zero_copy : {false, true}) {
-      SCOPED_TRACE(zero_copy ? "zero_copy on" : "zero_copy off");
-      compiled.set_featureop_config({.zero_copy = zero_copy});
-      expect_bit_equal(compiled.compute_matrix(batch, full), ref);
-    }
+    // The compiled engine's planned assembly and its reference
+    // compute_blocks + assemble path must both match the oracle.
+    expect_bit_equal(compiled.compute_matrix(batch, full), ref);
+    expect_bit_equal(
+        compiled.assemble(compiled.compute_blocks(batch, full), full.fg_mask),
+        ref);
   }
 }
 

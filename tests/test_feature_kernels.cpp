@@ -15,10 +15,9 @@
 //    including the post-concatenation chain, and both match a test-local
 //    pairwise-hconcat fold of the blocks;
 //  - sparse GBDT CSR traversal == densify-block traversal == dense input;
-//  - op-level configs round-trip exactly, bytes carrying retired choices
-//    load onto the survivor, and corrupt bytes are rejected;
-//  - a saved artifact cold-starts with the executor's tuned/forced
-//    feature-op config installed.
+//  - 'KERN' bytes carrying retired op-level choices load (and a pipeline
+//    artifact carrying them predicts bit-identically), while bytes no
+//    writer produced are rejected.
 
 #include <gtest/gtest.h>
 
@@ -31,15 +30,16 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "core/executors.hpp"
 #include "core/ifv_analysis.hpp"
 #include "core/optimizer.hpp"
 #include "data/matrix.hpp"
+#include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
 #include "models/linear.hpp"
@@ -57,8 +57,6 @@
 
 namespace willump {
 namespace {
-
-using kernels::FeatureOpConfig;
 
 // --- corpus helpers --------------------------------------------------------
 
@@ -562,9 +560,10 @@ data::Batch numeric_batch(std::size_t rows, std::uint64_t seed) {
   return b;
 }
 
-/// Compare the zero-copy planner against the forced-off reference on one
-/// executor, full or masked, and both against the test-local pairwise fold
-/// (the reference path's k-way concat is library code too).
+/// Compare the zero-copy planner (compute_matrix) against the reference
+/// compute_blocks + assemble path on one executor, full or masked, and both
+/// against the test-local pairwise fold (the reference path's k-way concat
+/// is library code too).
 void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
                                         const std::vector<bool>& mask) {
   core::CompiledExecutor ex(g, core::analyze_ifvs(g));
@@ -572,10 +571,9 @@ void expect_zero_copy_matches_reference(core::Graph g, const data::Batch& batch,
   core::ExecOptions opts;
   opts.fg_mask = mask;
 
-  ex.set_featureop_config({.zero_copy = false});
-  const data::FeatureMatrix ref = ex.compute_matrix(batch, opts);
+  const data::FeatureMatrix ref =
+      ex.assemble(ex.compute_blocks(batch, opts), mask);
   expect_bit_equal(ref, testing::pairwise_fold_reference(ex, batch, opts));
-  ex.set_featureop_config({.zero_copy = true});
   expect_bit_equal(ex.compute_matrix(batch, opts), ref);
 }
 
@@ -690,96 +688,68 @@ TEST(GbdtSparse, CsrAndDensifyTraversalsMatchDenseBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Config serialization.
+// Retired op-level slots of the 'KERN' section.
 // ---------------------------------------------------------------------------
 
-TEST(FeatureOpConfigSerialize, RoundTripsExactly) {
-  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
-    for (const bool zero_copy : {false, true}) {
-      const FeatureOpConfig cfg{.zero_copy = zero_copy};
-      serialize::Writer w(version);
-      kernels::save_featureop_config(w, cfg);
-      EXPECT_EQ(w.bytes().size(), version >= 4 ? 7u : 6u);
-      serialize::Reader r(w.bytes(), version);
-      EXPECT_EQ(kernels::load_featureop_config(r), cfg);
-      EXPECT_TRUE(r.at_end());
+/// The retired op-level bytes of an autotune report, as the writers of the
+/// op-tuning era could emit them (defaults: the survivor values a current
+/// writer emits).
+struct RetiredSlots {
+  std::uint8_t ops_tuned = 0;
+  std::uint8_t lookup = 0;
+  std::uint32_t block_rows = 256;
+  std::uint8_t zero_copy = 1;
+  std::uint8_t onehot = 1;  // v4 only
+};
+
+/// Hand-written 'KERN' payload: the report's kernel configs, the retired
+/// slots, and an empty timing table.
+std::vector<std::uint8_t> kern_bytes(std::uint32_t version,
+                                     const kernels::AutotuneReport& rep,
+                                     const RetiredSlots& slots) {
+  serialize::Writer w(version);
+  w.u8(rep.tuned ? 1 : 0);
+  kernels::save_kernel_config(w, rep.full);
+  w.u8(rep.has_small ? 1 : 0);
+  kernels::save_kernel_config(w, rep.small);
+  w.u8(slots.ops_tuned);
+  w.u8(slots.lookup);
+  w.u32(slots.block_rows);
+  w.u8(slots.zero_copy);
+  if (version >= 4) w.u8(slots.onehot);
+  w.u64(0);
+  return w.take();
+}
+
+/// Rebuild a pipeline artifact with its 'KERN' payload replaced. The
+/// container header (magic, version, kind, section count) and each section
+/// header (tag, u64 size, CRC-32) are fixed-width in every version.
+std::vector<std::uint8_t> with_kern(std::span<const std::uint8_t> artifact,
+                                    std::span<const std::uint8_t> kern) {
+  constexpr std::uint32_t kKernTag = 'K' | ('E' << 8) | ('R' << 16) |
+                                     (static_cast<std::uint32_t>('N') << 24);
+  serialize::Reader r(artifact);
+  serialize::Writer w;
+  for (int i = 0; i < 3; ++i) w.u32(r.u32());
+  const std::uint32_t n = r.u32();
+  w.u32(n);
+  bool replaced = false;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t tag = r.u32();
+    const std::uint64_t size = r.u64();
+    (void)r.u32();  // the old payload's CRC
+    std::span<const std::uint8_t> payload = r.raw(size);
+    if (tag == kKernTag) {
+      payload = kern;
+      replaced = true;
     }
+    w.u32(tag);
+    w.u64(payload.size());
+    w.u32(serialize::crc32(payload));
+    w.raw(payload);
   }
-}
-
-TEST(FeatureOpConfigSerialize, RetiredValuesLoadOntoSurvivor) {
-  // Artifacts tuned before the lookup / block_rows / one-hot choices were
-  // retired carry their old picks; each was bit-exact with its survivor,
-  // so the bytes load to the same config as the survivor's bytes.
-  const auto load = [](std::uint32_t version, std::uint8_t lookup,
-                       std::uint32_t block_rows, std::uint8_t zero_copy,
-                       std::uint8_t onehot) {
-    serialize::Writer w(version);
-    w.u8(lookup);
-    w.u32(block_rows);
-    w.u8(zero_copy);
-    if (version >= 4) w.u8(onehot);
-    serialize::Reader r(w.bytes(), version);
-    const FeatureOpConfig c = kernels::load_featureop_config(r);
-    EXPECT_TRUE(r.at_end());
-    return c;
-  };
-  for (const std::uint8_t zc : {0, 1}) {
-    const FeatureOpConfig survivor{.zero_copy = zc != 0};
-    EXPECT_EQ(load(4, 0, 256, zc, 1), survivor);   // the survivor's own bytes
-    EXPECT_EQ(load(4, 1, 256, zc, 1), survivor);   // sorted-vocab lookup
-    EXPECT_EQ(load(4, 0, 256, zc, 0), survivor);   // scalar one-hot
-    EXPECT_EQ(load(4, 0, 64, zc, 1), survivor);    // block_rows 64
-    EXPECT_EQ(load(4, 1, 1024, zc, 0), survivor);  // all retired at once
-    EXPECT_EQ(load(3, 1, 64, zc, 0), survivor);    // 6-byte v3 form, no one-hot
-  }
-}
-
-TEST(FeatureOpConfigSerialize, RejectsOutOfRangeValues) {
-  const auto corrupt = [](std::uint8_t lookup, std::uint32_t block_rows,
-                          std::uint8_t zero_copy, std::uint8_t onehot = 0) {
-    serialize::Writer w;
-    w.u8(lookup);
-    w.u32(block_rows);
-    w.u8(zero_copy);
-    w.u8(onehot);  // v4 wire carries the one-hot variant byte
-    serialize::Reader r(w.bytes());
-    try {
-      kernels::load_featureop_config(r);
-      return false;  // should have thrown
-    } catch (const serialize::SerializeError& e) {
-      return e.code() == serialize::ErrorCode::CorruptData;
-    }
-  };
-  EXPECT_TRUE(corrupt(7, 256, 1));                          // unknown lookup
-  EXPECT_TRUE(corrupt(0, 0, 1));                            // zero block_rows
-  EXPECT_TRUE(corrupt(0, kernels::kMaxBlockRows + 1, 1));   // block_rows too big
-  EXPECT_TRUE(corrupt(0, 256, 2));                          // bad bool
-  EXPECT_TRUE(corrupt(0, 256, 1, 2));                       // unknown one-hot
-}
-
-// ---------------------------------------------------------------------------
-// Op-level autotuning and artifact cold-start.
-// ---------------------------------------------------------------------------
-
-TEST(FeatureOpAutotune, InstallsWinnerAndRecordsCandidates) {
-  core::Graph g = mixed_graph();
-  core::CompiledExecutor ex(g, core::analyze_ifvs(g));
-  const data::Batch batch = string_batch(48, 101);
-  ex.probe_layout(batch);
-
-  kernels::AutotuneConfig cfg;
-  cfg.reps = 1;
-  std::vector<kernels::VariantTiming> timings;
-  const FeatureOpConfig winner =
-      core::tune_feature_ops(ex, batch, cfg, &timings);
-  EXPECT_EQ(ex.featureop_config(), winner);
-
-  // Zero-copy assembly is the only op-level choice left to time.
-  std::vector<std::string> names;
-  for (const auto& t : timings) names.push_back(t.name);
-  EXPECT_EQ(names, (std::vector<std::string>{"ops/zero_copy:off",
-                                             "ops/zero_copy:on"}));
+  EXPECT_TRUE(replaced);
+  return w.take();
 }
 
 core::LabeledData labeled_strings(std::size_t rows, std::uint64_t seed) {
@@ -793,60 +763,86 @@ core::LabeledData labeled_strings(std::size_t rows, std::uint64_t seed) {
   return d;
 }
 
-TEST(FeatureOpArtifact, ForcedConfigColdStartsFromBytes) {
+TEST(RetiredOpSlotsSerialize, RetiredValuesLoadOntoSurvivor) {
+  // Artifacts written while op-level choices were tuned carry their picks
+  // (the op-tuned flag set, zero_copy on or off, retired lookup /
+  // block_rows / one-hot values). Each was bit-exact with the path that now
+  // always runs, so the bytes load and are ignored.
+  kernels::AutotuneReport rep;
+  rep.tuned = true;
+  rep.full = {kernels::DotVariant::Avx2, kernels::TreeVariant::Blocked, 16};
+  rep.has_small = true;
+  rep.small = {kernels::DotVariant::Unrolled, kernels::TreeVariant::RowWise, 1};
+  const std::vector<RetiredSlots> retired = {
+      {},                                      // the survivor's own bytes
+      {.ops_tuned = 1, .zero_copy = 0},        // tuned zero-copy off
+      {.ops_tuned = 1, .zero_copy = 1},        // tuned zero-copy on
+      {.ops_tuned = 1, .lookup = 1},           // sorted-vocab lookup
+      {.ops_tuned = 1, .block_rows = 64},      // 64-row chunks
+      {.ops_tuned = 1, .zero_copy = 0, .onehot = 0},  // scalar one-hot
+      {.ops_tuned = 1, .lookup = 1, .block_rows = 1024, .zero_copy = 0,
+       .onehot = 0},                           // all retired at once
+  };
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    for (const RetiredSlots& slots : retired) {
+      const std::vector<std::uint8_t> bytes = kern_bytes(version, rep, slots);
+      serialize::Reader r(bytes, version);
+      const kernels::AutotuneReport got = kernels::load_autotune_report(r);
+      EXPECT_TRUE(r.at_end());
+      EXPECT_EQ(got.tuned, rep.tuned);
+      EXPECT_EQ(got.full, rep.full);
+      EXPECT_EQ(got.has_small, rep.has_small);
+      EXPECT_EQ(got.small, rep.small);
+      EXPECT_TRUE(got.timings.empty());
+    }
+  }
+
+  // A whole pipeline artifact carrying such bytes predicts bit-identically
+  // to the in-memory pipeline, in both readable versions.
   core::Pipeline pipeline;
   pipeline.graph = mixed_graph();
   pipeline.model_proto = std::make_shared<models::LogisticRegression>();
-
-  const core::LabeledData train = labeled_strings(120, 103);
-  const core::LabeledData valid = labeled_strings(40, 107);
-
-  core::OptimizeOptions opts;
-  opts.autotune_kernels = false;
-  const FeatureOpConfig forced{.zero_copy = false};
-  opts.featureop_config = forced;
-
-  const auto optimized =
-      core::WillumpOptimizer::optimize(pipeline, train, valid, opts);
-  EXPECT_TRUE(optimized.autotune_report().tuned_ops);
-  EXPECT_EQ(optimized.autotune_report().ops, forced);
-
-  const auto bytes = serialize::pipeline_to_bytes(optimized);
-  const auto loaded = serialize::pipeline_from_bytes(bytes);
-  const auto* compiled =
-      dynamic_cast<const core::CompiledExecutor*>(&loaded.executor());
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->featureop_config(), forced);
-
-  const data::Batch test = string_batch(25, 109);
-  EXPECT_EQ(loaded.predict(test), optimized.predict(test));
-}
-
-TEST(FeatureOpArtifact, AutotunedConfigColdStartsFromBytes) {
-  core::Pipeline pipeline;
-  pipeline.graph = mixed_graph();
-  pipeline.model_proto = std::make_shared<models::LogisticRegression>();
-
-  const core::LabeledData train = labeled_strings(120, 113);
-  const core::LabeledData valid = labeled_strings(40, 127);
-
   core::OptimizeOptions opts;
   opts.autotune.reps = 1;
   opts.autotune.sample_rows = 32;
-
-  const auto optimized =
-      core::WillumpOptimizer::optimize(pipeline, train, valid, opts);
-  ASSERT_TRUE(optimized.autotune_report().tuned_ops);
-
-  const auto loaded =
-      serialize::pipeline_from_bytes(serialize::pipeline_to_bytes(optimized));
-  const auto* compiled =
-      dynamic_cast<const core::CompiledExecutor*>(&loaded.executor());
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->featureop_config(), optimized.autotune_report().ops);
-
+  const auto optimized = core::WillumpOptimizer::optimize(
+      pipeline, labeled_strings(120, 113), labeled_strings(40, 127), opts);
   const data::Batch test = string_batch(25, 131);
-  EXPECT_EQ(loaded.predict(test), optimized.predict(test));
+  const std::vector<double> want = optimized.predict(test);
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    const auto artifact = serialize::pipeline_to_bytes(optimized, version);
+    for (const std::uint8_t zc : {0, 1}) {
+      const auto kern = kern_bytes(version, optimized.autotune_report(),
+                                   {.ops_tuned = 1, .zero_copy = zc});
+      const auto loaded =
+          serialize::pipeline_from_bytes(with_kern(artifact, kern));
+      EXPECT_EQ(loaded.predict(test), want)
+          << "v" << version << " zero_copy=" << int{zc};
+    }
+  }
+}
+
+TEST(RetiredOpSlotsSerialize, RejectsOutOfRangeValues) {
+  // Bytes no writer ever produced stay corrupt.
+  const auto corrupt = [](std::uint32_t version, const RetiredSlots& slots) {
+    const std::vector<std::uint8_t> bytes =
+        kern_bytes(version, kernels::AutotuneReport{}, slots);
+    serialize::Reader r(bytes, version);
+    try {
+      kernels::load_autotune_report(r);
+      return false;  // should have thrown
+    } catch (const serialize::SerializeError& e) {
+      return e.code() == serialize::ErrorCode::CorruptData;
+    }
+  };
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    EXPECT_TRUE(corrupt(version, {.ops_tuned = 2}));          // bad bool
+    EXPECT_TRUE(corrupt(version, {.lookup = 7}));             // unknown lookup
+    EXPECT_TRUE(corrupt(version, {.block_rows = 0}));         // zero rows
+    EXPECT_TRUE(corrupt(version, {.block_rows = (1u << 20) + 1}));  // too big
+    EXPECT_TRUE(corrupt(version, {.zero_copy = 2}));          // bad bool
+  }
+  EXPECT_TRUE(corrupt(4, {.onehot = 2}));  // unknown one-hot (v4 only)
 }
 
 TEST(FeatureOpArtifact, V3PriceArtifactPredictsBitIdentically) {
@@ -863,14 +859,9 @@ TEST(FeatureOpArtifact, V3PriceArtifactPredictsBitIdentically) {
   opts.autotune.sample_rows = 64;
   const auto optimized =
       core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
-  ASSERT_TRUE(optimized.autotune_report().tuned_ops);
 
   const auto loaded = serialize::pipeline_from_bytes(
       serialize::pipeline_to_bytes(optimized, 3));
-  const auto* compiled =
-      dynamic_cast<const core::CompiledExecutor*>(&loaded.executor());
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->featureop_config(), optimized.autotune_report().ops);
   EXPECT_EQ(loaded.predict(wl.test.inputs), optimized.predict(wl.test.inputs));
 }
 

@@ -185,14 +185,38 @@ TEST(CsrMargins, VariantsAgreeAndScalarMatchesReference) {
   }
 }
 
+TEST(CsrMargins, EveryCandidateIsBitIdentical) {
+  // A timing pick among candidate_dots must never change a sparse linear
+  // model's bits: every candidate sums CSR rows in the same order.
+  common::Rng rng(41);
+  const std::size_t rows = 200, d = 300;
+  const data::CsrMatrix x =
+      data::FeatureMatrix(dense_matrix(rows, d, rng, 0.9)).to_csr();
+  const auto w = gaussian(d, rng);
+  const double bias = 0.125;
+
+  const auto candidates = kernels::candidate_dots();
+  ASSERT_FALSE(candidates.empty());
+  std::vector<double> first(rows), out(rows);
+  kernels::csr_margins(candidates.front(), x.indptr().data(),
+                       x.indices().data(), x.values().data(), w.data(), bias,
+                       rows, first.data());
+  for (DotVariant v : candidates) {
+    kernels::csr_margins(v, x.indptr().data(), x.indices().data(),
+                         x.values().data(), w.data(), bias, rows, out.data());
+    EXPECT_EQ(out, first) << kernels::variant_name(v);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // GBDT traversal variants.
 // ---------------------------------------------------------------------------
 
-models::Gbdt trained_gbdt(common::Rng& rng, bool classification = true) {
+models::Gbdt trained_gbdt(common::Rng& rng, bool classification = true,
+                          int max_depth = 5) {
   models::GbdtConfig cfg;
   cfg.n_trees = 25;
-  cfg.max_depth = 5;
+  cfg.max_depth = max_depth;
   cfg.classification = classification;
   cfg.permutation_rows = 0;
   models::Gbdt model(cfg);
@@ -203,17 +227,27 @@ models::Gbdt trained_gbdt(common::Rng& rng, bool classification = true) {
 
 TEST(GbdtKernels, BlockedIsBitExactWithRowWiseAcrossBatchAndBlockSizes) {
   common::Rng rng(5);
-  models::Gbdt model = trained_gbdt(rng);
-  for (std::size_t rows : {1u, 7u, 64u, 1000u}) {
-    const data::FeatureMatrix x(dense_matrix(rows, 12, rng));
-    std::vector<double> ref(rows), got(rows);
-    model.set_kernel_config(reference_config());
-    model.predict_into(x, ref);
-    for (std::uint32_t block : {1u, 7u, 8u, 32u, 64u}) {
-      model.set_kernel_config(
-          {DotVariant::Scalar, TreeVariant::Blocked, block});
-      model.predict_into(x, got);
-      EXPECT_EQ(got, ref) << "rows=" << rows << " block=" << block;
+  // On AVX-512 CPUs these forests take the vector traversal for whole
+  // vectors of rows: depth 5 gathers its fifth level and its leaves, the
+  // shallower ones pick every node from registers, and the scalar step
+  // takes 1, 7 and the last 5 of 77 rows.
+  for (int depth : {5, 4, 2, 1}) {
+    models::Gbdt model = trained_gbdt(rng, true, depth);
+    for (std::size_t rows : {1u, 7u, 64u, 77u, 1000u}) {
+      data::DenseMatrix xd = dense_matrix(rows, 12, rng);
+      // NaN fails every `<=` split and goes right on both kernels.
+      for (std::size_t r = 0; r < rows; r += 3) xd(r, r % 12) = std::nan("");
+      const data::FeatureMatrix x(xd);
+      std::vector<double> ref(rows), got(rows);
+      model.set_kernel_config(reference_config());
+      model.predict_into(x, ref);
+      for (std::uint32_t block : {1u, 7u, 8u, 32u, 64u}) {
+        model.set_kernel_config(
+            {DotVariant::Scalar, TreeVariant::Blocked, block});
+        model.predict_into(x, got);
+        EXPECT_EQ(got, ref) << "depth=" << depth << " rows=" << rows
+                            << " block=" << block;
+      }
     }
   }
 }
@@ -230,14 +264,25 @@ TEST(GbdtKernels, SparseInputIsBitExactWithDense) {
   const data::DenseMatrix xtr = dense_matrix(500, 10, rng, 0.6);
   model.fit(data::FeatureMatrix(xtr), labels(xtr, rng));
 
+  const KernelConfig blocked = model.kernel_config();
+  KernelConfig csr = blocked;
+  csr.sparse_cutoff = 0;  // no-densify CSR traversal at any width
   for (std::size_t rows : {1u, 7u, 64u, 1000u}) {
     const data::DenseMatrix xd = dense_matrix(rows, 10, rng, 0.6);
     const data::FeatureMatrix dense(xd);
     const data::FeatureMatrix sparse(dense.to_csr());
-    std::vector<double> from_dense(rows), from_sparse(rows);
+    std::vector<double> ref(rows), from_dense(rows), from_sparse(rows),
+        from_csr(rows);
+    model.set_kernel_config(reference_config());
+    model.predict_into(dense, ref);
+    model.set_kernel_config(blocked);
     model.predict_into(dense, from_dense);
     model.predict_into(sparse, from_sparse);
+    model.set_kernel_config(csr);
+    model.predict_into(sparse, from_csr);
     EXPECT_EQ(from_sparse, from_dense) << "rows=" << rows;
+    EXPECT_EQ(from_dense, ref) << "rows=" << rows;
+    EXPECT_EQ(from_csr, ref) << "rows=" << rows;
   }
 }
 
@@ -390,29 +435,44 @@ TEST(KernelConfigSerialize, RejectsOutOfRangeValues) {
 }
 
 TEST(AutotuneReportSerialize, RoundTripsExactly) {
-  kernels::AutotuneReport rep;
-  rep.tuned = true;
-  rep.full = {DotVariant::Avx2, TreeVariant::Blocked, 16};
-  rep.has_small = true;
-  rep.small = {DotVariant::Unrolled, TreeVariant::RowWise, 1};
-  rep.tuned_ops = true;
-  rep.ops = {.zero_copy = false};
-  rep.timings = {{"full/dot:avx2", 1.5e-4}, {"small/tree:rowwise", 2.5e-5}};
+  kernels::AutotuneReport tuned;
+  tuned.tuned = true;
+  tuned.full = {DotVariant::Avx2, TreeVariant::Blocked, 16};
+  tuned.has_small = true;
+  tuned.small = {DotVariant::Unrolled, TreeVariant::RowWise, 1};
+  tuned.timings = {{"full/dot:avx2", 1.5e-4}, {"small/tree:rowwise", 2.5e-5}};
+  const kernels::AutotuneReport untuned;  // forced/skipped: no timings
 
-  serialize::Writer w;
-  kernels::save_autotune_report(w, rep);
-  serialize::Reader r(w.bytes());
-  const kernels::AutotuneReport got = kernels::load_autotune_report(r);
-  EXPECT_EQ(got.tuned, rep.tuned);
-  EXPECT_EQ(got.full, rep.full);
-  EXPECT_EQ(got.has_small, rep.has_small);
-  EXPECT_EQ(got.small, rep.small);
-  EXPECT_EQ(got.tuned_ops, rep.tuned_ops);
-  EXPECT_EQ(got.ops, rep.ops);
-  ASSERT_EQ(got.timings.size(), rep.timings.size());
-  for (std::size_t i = 0; i < rep.timings.size(); ++i) {
-    EXPECT_EQ(got.timings[i].name, rep.timings[i].name);
-    EXPECT_EQ(got.timings[i].seconds, rep.timings[i].seconds);
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    for (const kernels::AutotuneReport* rep :
+         std::initializer_list<const kernels::AutotuneReport*>{&tuned,
+                                                               &untuned}) {
+      serialize::Writer w(version);
+      kernels::save_autotune_report(w, *rep);
+      // After the flags and two 10-byte kernel configs come the retired
+      // op-level slots, always written as the survivors: no op tuning,
+      // hash lookup, 256-row chunks, zero-copy on, and (v4) batched one-hot.
+      std::vector<std::uint8_t> want = {0, 0, 0x00, 0x01, 0x00, 0x00, 1};
+      if (version >= 4) want.push_back(1);
+      const auto bytes = w.bytes();
+      ASSERT_GE(bytes.size(), 22 + want.size());
+      EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 22,
+                                          bytes.begin() + 22 + want.size()),
+                want);
+
+      serialize::Reader r(bytes, version);
+      const kernels::AutotuneReport got = kernels::load_autotune_report(r);
+      EXPECT_TRUE(r.at_end());
+      EXPECT_EQ(got.tuned, rep->tuned);
+      EXPECT_EQ(got.full, rep->full);
+      EXPECT_EQ(got.has_small, rep->has_small);
+      EXPECT_EQ(got.small, rep->small);
+      ASSERT_EQ(got.timings.size(), rep->timings.size());
+      for (std::size_t i = 0; i < rep->timings.size(); ++i) {
+        EXPECT_EQ(got.timings[i].name, rep->timings[i].name);
+        EXPECT_EQ(got.timings[i].seconds, rep->timings[i].seconds);
+      }
+    }
   }
 }
 
