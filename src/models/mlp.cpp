@@ -1,9 +1,12 @@
 #include "models/mlp.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "kernels/gemv.hpp"
+#include "kernels/sparse_mlp.hpp"
 #include "serialize/buffer.hpp"
 
 namespace willump::models {
@@ -15,16 +18,23 @@ struct Adam {
   std::vector<double> m, v;
   double beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
   int t = 0;
+  // Bias corrections 1 - beta^t of the current step, computed once per
+  // step instead of once per updated weight.
+  double corr1 = 1.0, corr2 = 1.0;
 
   explicit Adam(std::size_t n) : m(n, 0.0), v(n, 0.0) {}
 
-  void step_begin() { ++t; }
+  void step_begin() {
+    ++t;
+    corr1 = 1 - std::pow(beta1, t);
+    corr2 = 1 - std::pow(beta2, t);
+  }
 
   double update(std::size_t i, double g, double lr) {
     m[i] = beta1 * m[i] + (1 - beta1) * g;
     v[i] = beta2 * v[i] + (1 - beta2) * g * g;
-    const double mh = m[i] / (1 - std::pow(beta1, t));
-    const double vh = v[i] / (1 - std::pow(beta2, t));
+    const double mh = m[i] / corr1;
+    const double vh = v[i] / corr2;
     return lr * mh / (std::sqrt(vh) + eps);
   }
 };
@@ -136,6 +146,17 @@ void Mlp::fit(const data::FeatureMatrix& x, std::span<const double> y) {
       }
     }
   }
+  build_w1t();
+}
+
+void Mlp::build_w1t() {
+  const auto hidden = static_cast<std::size_t>(cfg_.hidden);
+  w1t_.resize(w1_.size());
+  for (std::size_t j = 0; j < hidden; ++j) {
+    for (std::size_t i = 0; i < in_dim_; ++i) {
+      w1t_[i * hidden + j] = w1_[j * in_dim_ + i];
+    }
+  }
 }
 
 std::vector<double> Mlp::predict(const data::FeatureMatrix& x) const {
@@ -146,15 +167,28 @@ std::vector<double> Mlp::predict(const data::FeatureMatrix& x) const {
 
 void Mlp::predict_into(const data::FeatureMatrix& x,
                        std::span<double> out) const {
+  // Checked once per call: a wider CSR input would index past w1t_.
+  if (x.cols() != in_dim_) {
+    throw std::invalid_argument("Mlp::predict_into: input has " +
+                                std::to_string(x.cols()) +
+                                " columns, model expects " +
+                                std::to_string(in_dim_));
+  }
   const std::size_t n = x.rows();
   const auto hidden = static_cast<std::size_t>(cfg_.hidden);
   if (!x.is_dense()) {
-    // CSR rows gather into the hidden layer without densification; the
-    // dense-block kernels don't apply. Reuse one post-ReLU buffer.
+    // CSR rows add one contiguous row of the transposed first layer per
+    // nonzero, without densification. The path follows the CPU, not
+    // kcfg_.dot: every path gives the bits of forward_sparse.
+    const auto& m = x.sparse();
     thread_local std::vector<double> hbuf;
-    for (std::size_t r = 0; r < n; ++r) {
-      out[r] = output_of(forward_sparse(x.sparse().row(r), hbuf));
-    }
+    if (hbuf.size() < hidden) hbuf.resize(hidden);
+    kernels::sparse_mlp_outputs(kernels::native_sparse_mlp_path(),
+                                m.indptr().data(), m.indices().data(),
+                                m.values().data(), n, w1t_.data(), b1_.data(),
+                                w2_.data(), b2_, hidden, hbuf.data(),
+                                out.data());
+    for (std::size_t r = 0; r < n; ++r) out[r] = output_of(out[r]);
     return;
   }
 
@@ -230,6 +264,7 @@ std::unique_ptr<Mlp> Mlp::load(serialize::Reader& r) {
     throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
                                     "mlp layer shapes inconsistent");
   }
+  m->build_w1t();
   m->kcfg_ = kernels::load_kernel_config(r);
   return m;
 }

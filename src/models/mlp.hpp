@@ -27,6 +27,12 @@ struct MlpConfig {
 /// The MLP has no native feature-importance measure; per the paper (§4.2),
 /// Willump trains a GBDT proxy on the same features and uses its importances
 /// (see core/importance.cpp). `feature_importances()` therefore returns {}.
+///
+/// Training keeps the first layer row-major (hidden x in), the layout it
+/// updates on every step and the one artifacts store. Prediction on CSR
+/// rows reads a transposed copy (in x hidden, never serialized) through
+/// kernels::sparse_mlp_outputs, so each nonzero reads one contiguous weight
+/// row; the sums run in the same order, so the bits are the same.
 class Mlp final : public Model {
  public:
   explicit Mlp(MlpConfig cfg = {}) : cfg_(cfg) {}
@@ -52,12 +58,15 @@ class Mlp final : public Model {
   double forward_sparse(const data::CsrMatrix::RowView& row,
                         std::vector<double>& hidden_buf) const;
   double output_of(double z) const;
+  /// Derives w1t_ from w1_ (after fit, and in load once shapes check out).
+  void build_w1t();
 
   MlpConfig cfg_;
   std::size_t in_dim_ = 0;
-  std::vector<double> w1_;  // hidden x in, row-major
-  std::vector<double> b1_;  // hidden
-  std::vector<double> w2_;  // hidden
+  std::vector<double> w1_;   // hidden x in, row-major; what save() writes
+  std::vector<double> w1t_;  // in x hidden: w1_ transposed, for CSR predict
+  std::vector<double> b1_;   // hidden
+  std::vector<double> w2_;   // hidden
   double b2_ = 0.0;
 };
 
