@@ -3,16 +3,16 @@
 // ("cascades cannot help unless the model itself runs at hardware speed").
 // Four model-level sections time the same trained model under forced kernel
 // configs — the bit-exact scalar/row-wise reference (the pre-kernel code
-// shape) against the SIMD / blocked-traversal variants and the autotuned
-// winner — plus an end-to-end section that optimizes one full workload
-// twice (forced-reference config vs autotuned) so the kernel layer's
-// contribution to Figure 5 throughput is recorded, not inferred.
+// shape) against the SIMD / blocked-traversal variants — plus an end-to-end
+// section that optimizes one full workload twice (forced-reference config
+// vs the default native config) so the kernel layer's contribution to
+// Figure 5 throughput is recorded, not inferred.
 //
 // `--trend` asserts the acceptance floors of the kernel layer: batched
 // blocked GBDT traversal >= 3x the row-at-a-time reference, SIMD linear
-// margins >= 2x scalar, SIMD MLP forward >= 2x scalar, and the autotuned
-// winner never losing to the reference it replaced. The nightly ctest tier
-// drives it this way; `--smoke` only proves the binary runs end-to-end.
+// margins >= 2x scalar, SIMD MLP forward >= 2x scalar, and the default
+// pipeline never losing to the reference. The nightly ctest tier drives it
+// this way; `--smoke` only proves the binary runs end-to-end.
 
 #include <cmath>
 #include <cstdio>
@@ -20,8 +20,6 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
 #include "models/linear.hpp"
@@ -88,20 +86,11 @@ double time_config(models::Model& model, const kernels::KernelConfig& cfg,
                                  });
 }
 
-std::string cfg_name(const kernels::KernelConfig& c, bool tree_model) {
-  std::string n = tree_model ? std::string(kernels::variant_name(c.tree))
-                             : std::string(kernels::variant_name(c.dot));
-  if (tree_model && c.tree == kernels::TreeVariant::Blocked) {
-    n += "/" + std::to_string(c.tree_block);
-  }
-  return n;
-}
-
 /// Section 1: GBDT forest traversal. Row-at-a-time branchy walks (the
 /// Tree::predict_row shape) vs blocked branch-free traversal at each block
-/// size, plus the autotuned pick. The >= 3x floor is the tentpole claim:
-/// batching rows through a tree level overlaps the per-node load->compare
-/// dependency chains that serialize a row-at-a-time walk.
+/// size. The >= 3x floor is the tentpole claim: batching rows through a
+/// tree level overlaps the per-node load->compare dependency chains that
+/// serialize a row-at-a-time walk.
 void bench_gbdt() {
   std::printf("\n-- GBDT forest traversal (batched margins) --\n");
   common::Rng rng(13);
@@ -137,23 +126,8 @@ void bench_gbdt() {
                      fmt("%.2fx", qps / rowwise)});
   }
 
-  model.set_kernel_config(reference_config());
-  kernels::AutotuneConfig tune;
-  tune.reps = reps();
-  const kernels::KernelConfig tuned =
-      core::tune_model_kernels(model, x, tune, "gbdt", nullptr);
-  const double tuned_qps = time_config(model, tuned, x, out);
-  table.print_row({"tuned=" + cfg_name(tuned, true), fmt("%.0f", tuned_qps),
-                   fmt("%.2fx", tuned_qps / rowwise)});
-
   check_trend(best_blocked >= 3.0 * rowwise,
               "blocked GBDT traversal >= 3x row-at-a-time");
-  // The tuned pick must clear the same floor the sweep's winner does. (Not
-  // asserted against best_blocked directly: on a 1-CPU machine two
-  // time-separated measurements of near-identical configs jitter past any
-  // tight ratio — the floor is what the acceptance criteria require.)
-  check_trend(tuned_qps >= 3.0 * rowwise,
-              "autotuned GBDT config clears the same 3x floor");
 }
 
 /// Section 2: cascade early-exit traversal. predict_cascade stops
@@ -240,19 +214,7 @@ void bench_linear() {
                      fmt("%.2fx", qps / scalar)});
   }
 
-  model.set_kernel_config(reference_config());
-  kernels::AutotuneConfig tune;
-  tune.reps = reps();
-  const kernels::KernelConfig tuned =
-      core::tune_model_kernels(model, x, tune, "linear", nullptr);
-  const double tuned_qps = time_config(model, tuned, x, out, iters);
-  table.print_row({"tuned=" + cfg_name(tuned, false), fmt("%.0f", tuned_qps),
-                   fmt("%.2fx", tuned_qps / scalar)});
-
   check_trend(best >= 2.0 * scalar, "SIMD linear margins >= 2x scalar");
-  // Floor, not a tight ratio against `best` — see the GBDT section.
-  check_trend(tuned_qps >= 2.0 * scalar,
-              "autotuned linear config clears the same 2x floor");
 }
 
 /// Section 4: MLP forward (the GEMM shape). The hidden layer dominates
@@ -293,7 +255,7 @@ void bench_mlp() {
 
 /// Section 5: end-to-end contribution. Optimize one GBDT workload twice —
 /// kernel_config forced to the scalar/row-wise reference vs the default
-/// autotuner — and record what the kernel layer adds to Figure 5's batch
+/// native config — and record what the kernel layer adds to Figure 5's batch
 /// throughput. Feature computation is part of both runs, so this ratio is
 /// honest about Amdahl: it is the paper-visible gain, not the kernel-only
 /// gain the sections above isolate.
@@ -306,25 +268,24 @@ void bench_end_to_end() {
   ref_opts.kernel_config = reference_config();
   const auto reference = optimize(wl, ref_opts);
 
-  core::OptimizeOptions tuned_opts = compiled_config();  // autotune on
-  const auto tuned = optimize(wl, tuned_opts);
+  const auto native = optimize(wl, compiled_config());
 
   const double ref_tput = throughput_rows_per_sec(
       rows, 3, [&] { (void)reference.predict(wl.test.inputs); });
-  const double tuned_tput = throughput_rows_per_sec(
-      rows, 3, [&] { (void)tuned.predict(wl.test.inputs); });
+  const double native_tput = throughput_rows_per_sec(
+      rows, 3, [&] { (void)native.predict(wl.test.inputs); });
 
   TablePrinter table({"config", "rows/s", "speedup"});
   table.print_header();
   table.print_row({"reference", fmt("%.0f", ref_tput), "1.00x"});
-  table.print_row({"autotuned", fmt("%.0f", tuned_tput),
-                   fmt("%.2fx", tuned_tput / ref_tput)});
-  const auto& rep = tuned.autotune_report();
-  std::printf("autotuned full-model config: dot=%s tree=%s block=%u\n",
-              kernels::variant_name(rep.full.dot),
-              kernels::variant_name(rep.full.tree), rep.full.tree_block);
-  check_trend(tuned_tput >= 0.95 * ref_tput,
-              "autotuned pipeline does not lose end-to-end");
+  table.print_row({"native", fmt("%.0f", native_tput),
+                   fmt("%.2fx", native_tput / ref_tput)});
+  const kernels::KernelConfig& kc = native.full_model().kernel_config();
+  std::printf("native full-model config: dot=%s tree=%s block=%u\n",
+              kernels::variant_name(kc.dot), kernels::variant_name(kc.tree),
+              kc.tree_block);
+  check_trend(native_tput >= 0.95 * ref_tput,
+              "default native pipeline does not lose end-to-end");
 }
 
 }  // namespace

@@ -16,7 +16,6 @@ OptimizedPipeline::OptimizedPipeline(Parts parts) {
   cascade_ = std::move(parts.cascade);
   use_cascades_ = parts.use_cascades && cascade_.enabled();
   topk_cfg_ = parts.topk;
-  autotune_ = std::move(parts.autotune);
   if (parts.feature_cache) {
     cache_ = std::make_shared<FeatureCacheBank>(
         executor_->analysis().num_generators(), parts.cache_capacity);
@@ -146,25 +145,13 @@ OptimizedPipeline WillumpOptimizer::optimize(const Pipeline& pipeline,
 
   executor->set_fg_costs(out.cascade_.stats.cost_seconds);
 
-  // Kernel selection: force one config everywhere, autotune against a
-  // training sample, or keep the machine defaults (DESIGN.md §9). The
-  // chosen configs live on the models and serialize with them.
+  // Kernel selection (DESIGN.md §9): every model keeps the native_config()
+  // it was constructed with unless the caller forces one config everywhere.
+  // The configs live on the models and serialize with them.
   if (opts.kernel_config.has_value()) {
     out.cascade_.full_model->set_kernel_config(*opts.kernel_config);
-    out.autotune_.full = *opts.kernel_config;
     if (out.cascade_.small_model != nullptr) {
       out.cascade_.small_model->set_kernel_config(*opts.kernel_config);
-      out.autotune_.has_small = true;
-      out.autotune_.small = *opts.kernel_config;
-    }
-  } else if (opts.autotune_kernels) {
-    out.autotune_ = autotune_pipeline_kernels(out.cascade_, *executor,
-                                              train.inputs, opts.autotune);
-  } else {
-    out.autotune_.full = out.cascade_.full_model->kernel_config();
-    if (out.cascade_.small_model != nullptr) {
-      out.autotune_.has_small = true;
-      out.autotune_.small = out.cascade_.small_model->kernel_config();
     }
   }
 

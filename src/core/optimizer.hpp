@@ -6,7 +6,7 @@
 
 #include "core/cascades.hpp"
 #include "core/topk.hpp"
-#include "kernels/autotune.hpp"
+#include "kernels/dispatch.hpp"
 
 namespace willump::core {
 
@@ -38,14 +38,9 @@ struct OptimizeOptions {
   /// Build the automatic top-K filter model (§4.3).
   bool topk_filter = false;
   TopKConfig topk;
-  /// Kernel autotuning (DESIGN.md §9): after model training, time kernel
-  /// variant x block-size candidates on a training sample and install the
-  /// fastest per model. The winners are serialized with the models, so a
-  /// saved artifact cold-starts tuned.
-  bool autotune_kernels = true;
-  kernels::AutotuneConfig autotune;
-  /// Force one kernel config on every model instead of tuning (benchmark
-  /// baselines and ablations). Takes precedence over autotune_kernels.
+  /// Force one kernel config on every model (the tests' reference order,
+  /// benchmark baselines). Unset, every model keeps its native_config()
+  /// (DESIGN.md §9). The configs serialize with the models.
   std::optional<kernels::KernelConfig> kernel_config;
 };
 
@@ -73,7 +68,6 @@ class OptimizedPipeline {
     bool feature_cache = false;
     std::size_t cache_capacity = 0;
     std::size_t parallel_threads = 0;
-    kernels::AutotuneReport autotune;
   };
 
   OptimizedPipeline() = default;
@@ -113,9 +107,6 @@ class OptimizedPipeline {
   /// The parallel_threads the pipeline was optimized with (0 = sequential).
   std::size_t parallel_threads() const;
   std::shared_ptr<const Executor> executor_ptr() const { return executor_; }
-  /// Kernel-autotuning outcome (winning configs + candidate timings); the
-  /// per-model winners also travel inside each serialized model.
-  const kernels::AutotuneReport& autotune_report() const { return autotune_; }
 
  private:
   friend class WillumpOptimizer;
@@ -128,7 +119,6 @@ class OptimizedPipeline {
   TopKConfig topk_cfg_;
   std::shared_ptr<FeatureCacheBank> cache_;
   std::shared_ptr<runtime::ThreadPool> pool_;
-  kernels::AutotuneReport autotune_;
   mutable CascadeRunStats run_stats_;
   mutable TopKRunStats topk_stats_;
 };

@@ -56,6 +56,13 @@ KernelConfig native_config() {
   return c;
 }
 
+std::vector<DotVariant> candidate_dots() {
+  std::vector<DotVariant> out = {DotVariant::Unrolled};
+  if (dot_supported(DotVariant::Avx2)) out.push_back(DotVariant::Avx2);
+  if (dot_supported(DotVariant::Avx512)) out.push_back(DotVariant::Avx512);
+  return out;
+}
+
 const char* variant_name(DotVariant v) {
   switch (v) {
     case DotVariant::Scalar: return "scalar";

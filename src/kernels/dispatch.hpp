@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace willump::serialize {
 class Reader;
@@ -38,14 +39,16 @@ inline constexpr std::uint32_t kMaxTreeBlock = 64;
 /// Column count at or above which a sparse GBDT input skips the per-block
 /// densify scratch and traverses the CSR rows directly. Wide TF-IDF blocks
 /// blow the densify scratch out of L1/L2; compact CSR rows stay resident.
-/// The autotuner pins this to 0 (always CSR) or UINT32_MAX (always densify)
-/// per model after timing both on real data.
+/// The rule reads the input's column count, so it needs no timing. Forcing
+/// 0 (always CSR) or UINT32_MAX (always densify) through a model's config
+/// selects one path outright; both are bit-identical.
 inline constexpr std::uint32_t kDefaultSparseCutoff = 2048;
 
-/// Per-model kernel selection. Defaults come from native_config() (best
-/// instruction set the CPU supports, untuned block size); the optimizer's
-/// autotuner refines them and the values are serialized with the model, so
-/// a loaded artifact reproduces the tuned pipeline's exact arithmetic.
+/// Per-model kernel selection. Every model is constructed with
+/// native_config() (best instruction set the CPU supports, fixed block
+/// size) and keeps it unless OptimizeOptions::kernel_config forces another.
+/// The values are serialized with the model, so a loaded artifact
+/// reproduces the saved pipeline's exact arithmetic.
 struct KernelConfig {
   DotVariant dot = DotVariant::Unrolled;
   TreeVariant tree = TreeVariant::Blocked;
@@ -69,8 +72,16 @@ DotVariant best_supported_dot();
 DotVariant effective_dot(DotVariant v);
 
 /// Default config for this machine: best supported dot variant, blocked
-/// tree traversal with the untuned default block size.
+/// tree traversal with the default block size.
 KernelConfig native_config();
+
+/// Dot-product variants this CPU executes natively: Unrolled plus the AVX
+/// tiers it supports, so a sweep never times a variant that would silently
+/// downgrade. Scalar stays out: its one-accumulator CSR margin sums in a
+/// different order from every other variant's two, while every listed
+/// variant's csr_margins is bit-identical. Scalar is the tests' reference
+/// order.
+std::vector<DotVariant> candidate_dots();
 
 const char* variant_name(DotVariant v);
 const char* variant_name(TreeVariant v);

@@ -1,4 +1,4 @@
-#include "kernels/autotune.hpp"
+#include "kernels/kern_section.hpp"
 
 #include "serialize/buffer.hpp"
 #include "serialize/error.hpp"
@@ -41,54 +41,35 @@ void skip_retired_op_slots(serialize::Reader& r) {
   }
 }
 
+void skip_flag(serialize::Reader& r, const char* what) {
+  if (r.u8() > 1) {
+    throw serialize::SerializeError(serialize::ErrorCode::CorruptData, what);
+  }
+}
+
 }  // namespace
 
-std::vector<DotVariant> candidate_dots() {
-  std::vector<DotVariant> out = {DotVariant::Unrolled};
-  if (dot_supported(DotVariant::Avx2)) out.push_back(DotVariant::Avx2);
-  if (dot_supported(DotVariant::Avx512)) out.push_back(DotVariant::Avx512);
-  return out;
-}
-
-void save_autotune_report(serialize::Writer& w, const AutotuneReport& rep) {
-  w.u8(rep.tuned ? 1 : 0);
-  save_kernel_config(w, rep.full);
-  w.u8(rep.has_small ? 1 : 0);
-  save_kernel_config(w, rep.small);
+void save_kern_section(serialize::Writer& w, const KernelConfig& full,
+                       const KernelConfig* small) {
+  w.u8(0);  // not tuned
+  save_kernel_config(w, full);
+  w.u8(small != nullptr ? 1 : 0);
+  save_kernel_config(w, small != nullptr ? *small : KernelConfig{});
   save_retired_op_slots(w);
-  w.u64(rep.timings.size());
-  for (const auto& t : rep.timings) {
-    w.str(t.name);
-    w.f64(t.seconds);
-  }
+  w.u64(0);  // no timing table
 }
 
-AutotuneReport load_autotune_report(serialize::Reader& r) {
-  AutotuneReport rep;
-  const std::uint8_t tuned = r.u8();
-  if (tuned > 1) {
-    throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
-                                    "autotune tuned flag out of range");
-  }
-  rep.tuned = tuned != 0;
-  rep.full = load_kernel_config(r);
-  const std::uint8_t has_small = r.u8();
-  if (has_small > 1) {
-    throw serialize::SerializeError(serialize::ErrorCode::CorruptData,
-                                    "autotune has_small flag out of range");
-  }
-  rep.has_small = has_small != 0;
-  rep.small = load_kernel_config(r);
+void skip_kern_section(serialize::Reader& r) {
+  skip_flag(r, "kernel section tuned flag out of range");
+  (void)load_kernel_config(r);
+  skip_flag(r, "kernel section has_small flag out of range");
+  (void)load_kernel_config(r);
   skip_retired_op_slots(r);
-  const std::uint64_t n = r.length(9, "autotune timing list");
-  rep.timings.reserve(static_cast<std::size_t>(n));
+  const std::uint64_t n = r.length(9, "kernel section timing list");
   for (std::uint64_t i = 0; i < n; ++i) {
-    VariantTiming t;
-    t.name = r.str();
-    t.seconds = r.f64();
-    rep.timings.push_back(std::move(t));
+    (void)r.str();
+    (void)r.f64();
   }
-  return rep;
 }
 
 }  // namespace willump::kernels

@@ -338,7 +338,7 @@ void Gbdt::predict_into(const data::FeatureMatrix& xin,
     // Wide-sparse inputs (TF-IDF tails): traverse the CSR rows directly.
     // Each tree probes O(depth) columns by binary search over a row's
     // entries, so skipping the densify/re-zero sweep over all columns wins
-    // once the matrix is wide; the autotuner pins the cutoff per model.
+    // once the matrix is wide (the column-count rule of kDefaultSparseCutoff).
     const auto& s = xin.sparse();
     forest_->margins_csr(s.indptr().data(), s.indices().data(),
                          s.values().data(), n, out.data());

@@ -58,9 +58,9 @@ class Model {
                                std::span<std::uint8_t> hard) const;
 
   /// Kernel-variant selection used by the batched prediction paths of the
-  /// built-in models (ignored by models without kernels). Set by the
-  /// optimizer's autotuner and serialized with the model so a loaded
-  /// artifact reproduces the tuned pipeline's exact arithmetic.
+  /// built-in models (ignored by models without kernels). native_config()
+  /// unless OptimizeOptions::kernel_config forces another; serialized with
+  /// the model so a loaded artifact reproduces the saved arithmetic.
   const kernels::KernelConfig& kernel_config() const { return kcfg_; }
   void set_kernel_config(const kernels::KernelConfig& c) { kcfg_ = c; }
 

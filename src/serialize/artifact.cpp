@@ -12,7 +12,7 @@
 
 #include "core/executors.hpp"
 #include "core/ifv_analysis.hpp"
-#include "kernels/autotune.hpp"
+#include "kernels/kern_section.hpp"
 #include "ops/lookup.hpp"
 #include "serialize/intern.hpp"
 #include "serialize/model_registry.hpp"
@@ -383,7 +383,10 @@ std::vector<std::uint8_t> pipeline_to_bytes(const core::OptimizedPipeline& p,
   save_cascade(cascade, p.cascade());
 
   Writer kern(format_version);
-  kernels::save_autotune_report(kern, p.autotune_report());
+  const auto& small = p.cascade().small_model;
+  kernels::save_kern_section(kern, p.full_model().kernel_config(),
+                             small != nullptr ? &small->kernel_config()
+                                              : nullptr);
 
   return pack(kPipelineKind, format_version,
               {{kSecMeta, meta.take()},
@@ -459,12 +462,11 @@ core::OptimizedPipeline pipeline_from_bytes(
   }
 
   Reader kern_r = section_reader(sections, kSecKernels, "kernel section");
-  kernels::AutotuneReport autotune = kernels::load_autotune_report(kern_r);
+  kernels::skip_kern_section(kern_r);
 
   core::OptimizedPipeline::Parts parts;
   parts.executor = std::move(executor);
   parts.cascade = std::move(cascade);
-  parts.autotune = std::move(autotune);
   parts.use_cascades = use_cascades;
   parts.topk = topk;
   parts.feature_cache = feature_cache;

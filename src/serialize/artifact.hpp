@@ -26,10 +26,9 @@ namespace willump::serialize {
 /// 'TABL' (feature tables, dedup'd by name), 'GRPH' (graph topology + op
 /// payloads via the op registry), 'LAYT' (probed column layout + measured
 /// generator costs), 'CASC' (trained cascade + models via the model
-/// registry), 'KERN' (kernel autotune report: winning configs + candidate
-/// timings — the per-model winners also travel inside each model payload,
-/// so a loaded pipeline cold-starts tuned). A cascade bundle carries
-/// 'LAYT' + 'CASC' only.
+/// registry), 'KERN' (a record of the models' kernel configs, read and
+/// discarded: each config also travels inside its model payload; see
+/// kernels/kern_section.hpp). A cascade bundle carries 'LAYT' + 'CASC' only.
 ///
 /// Error semantics: every load failure throws SerializeError with a typed
 /// ErrorCode (see error.hpp); corrupt bytes can never construct a pipeline

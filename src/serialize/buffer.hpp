@@ -17,7 +17,7 @@ namespace willump::serialize {
 /// Artifact format version. Bump on any incompatible layout change; load
 /// rejects versions it does not read (no silent cross-version parsing).
 /// v2: model payloads carry a kernel config; pipelines carry a 'KERN'
-/// autotune-report section.
+/// section (then the optimize-time kernel search's report).
 /// v3: kernel configs gain a sparse-traversal cutoff; the 'KERN' report
 /// gains the op-level feature-pipeline winners (lookup strategy, zero-copy
 /// assembly, row-chunk size). All are since retired; their bytes stay in

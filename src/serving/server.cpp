@@ -196,7 +196,6 @@ void Server::add_replica(std::string_view model) {
   parts.feature_cache = live->cache() != nullptr;
   parts.cache_capacity = live->cache_capacity_per_ifv();
   parts.parallel_threads = live->parallel_threads();
-  parts.autotune = live->autotune_report();
   add_replica(model, std::make_shared<const core::OptimizedPipeline>(
                          std::move(parts)));
 }

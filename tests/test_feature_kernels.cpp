@@ -29,9 +29,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -39,7 +41,7 @@
 #include "core/ifv_analysis.hpp"
 #include "core/optimizer.hpp"
 #include "data/matrix.hpp"
-#include "kernels/autotune.hpp"
+#include "kernels/kern_section.hpp"
 #include "kernels/dispatch.hpp"
 #include "models/gbdt.hpp"
 #include "models/linear.hpp"
@@ -691,7 +693,7 @@ TEST(GbdtSparse, CsrAndDensifyTraversalsMatchDenseBitExact) {
 // Retired op-level slots of the 'KERN' section.
 // ---------------------------------------------------------------------------
 
-/// The retired op-level bytes of an autotune report, as the writers of the
+/// The retired op-level bytes of a 'KERN' payload, as the writers of the
 /// op-tuning era could emit them (defaults: the survivor values a current
 /// writer emits).
 struct RetiredSlots {
@@ -702,22 +704,35 @@ struct RetiredSlots {
   std::uint8_t onehot = 1;  // v4 only
 };
 
-/// Hand-written 'KERN' payload: the report's kernel configs, the retired
-/// slots, and an empty timing table.
+/// The kernel fields of a 'KERN' payload. Writers of the kernel-search era
+/// stored tuned = 1 and a candidate timing table.
+struct LegacyKern {
+  bool tuned = false;
+  kernels::KernelConfig full;
+  bool has_small = false;
+  kernels::KernelConfig small;
+  std::vector<std::pair<std::string, double>> timings;
+};
+
+/// Hand-written 'KERN' payload in the layout every writer has used.
 std::vector<std::uint8_t> kern_bytes(std::uint32_t version,
-                                     const kernels::AutotuneReport& rep,
-                                     const RetiredSlots& slots) {
+                                     const LegacyKern& kern,
+                                     const RetiredSlots& slots = {}) {
   serialize::Writer w(version);
-  w.u8(rep.tuned ? 1 : 0);
-  kernels::save_kernel_config(w, rep.full);
-  w.u8(rep.has_small ? 1 : 0);
-  kernels::save_kernel_config(w, rep.small);
+  w.u8(kern.tuned ? 1 : 0);
+  kernels::save_kernel_config(w, kern.full);
+  w.u8(kern.has_small ? 1 : 0);
+  kernels::save_kernel_config(w, kern.small);
   w.u8(slots.ops_tuned);
   w.u8(slots.lookup);
   w.u32(slots.block_rows);
   w.u8(slots.zero_copy);
   if (version >= 4) w.u8(slots.onehot);
-  w.u64(0);
+  w.u64(kern.timings.size());
+  for (const auto& [name, seconds] : kern.timings) {
+    w.str(name);
+    w.f64(seconds);
+  }
   return w.take();
 }
 
@@ -763,16 +778,98 @@ core::LabeledData labeled_strings(std::size_t rows, std::uint64_t seed) {
   return d;
 }
 
+/// A 'KERN' record as the kernel search wrote it: tuned picks for both
+/// models and a two-entry timing table.
+LegacyKern tuned_kern() {
+  return {.tuned = true,
+          .full = {kernels::DotVariant::Avx2, kernels::TreeVariant::Blocked, 16},
+          .has_small = true,
+          .small = {kernels::DotVariant::Unrolled, kernels::TreeVariant::RowWise, 1},
+          .timings = {{"full/dot:avx2", 1.5e-4}, {"small/tree:rowwise", 2.5e-5}}};
+}
+
+TEST(KernSectionSerialize, LegacyTunedBytesLoadAndWriterMatchesUntunedBytes) {
+  // tuned_kern() as the kernel-search writer emitted it, byte for byte.
+  const std::vector<std::uint8_t> legacy_v3 = {
+      0x01, 0x02, 0x01, 0x10, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x01,
+      0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x0d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x66, 0x75, 0x6c,
+      0x6c, 0x2f, 0x64, 0x6f, 0x74, 0x3a, 0x61, 0x76, 0x78, 0x32, 0x61, 0x32,
+      0x55, 0x30, 0x2a, 0xa9, 0x23, 0x3f, 0x12, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x73, 0x6d, 0x61, 0x6c, 0x6c, 0x2f, 0x74, 0x72, 0x65, 0x65,
+      0x3a, 0x72, 0x6f, 0x77, 0x77, 0x69, 0x73, 0x65, 0x2d, 0x43, 0x1c, 0xeb,
+      0xe2, 0x36, 0xfa, 0x3e};
+  const std::vector<std::uint8_t> legacy_v4 = {
+      0x01, 0x02, 0x01, 0x10, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x01,
+      0x01, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x01, 0x00, 0x00, 0x01, 0x01, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x0d, 0x66, 0x75, 0x6c, 0x6c, 0x2f, 0x64, 0x6f, 0x74, 0x3a,
+      0x61, 0x76, 0x78, 0x32, 0x61, 0x32, 0x55, 0x30, 0x2a, 0xa9, 0x23, 0x3f,
+      0x12, 0x73, 0x6d, 0x61, 0x6c, 0x6c, 0x2f, 0x74, 0x72, 0x65, 0x65, 0x3a,
+      0x72, 0x6f, 0x77, 0x77, 0x69, 0x73, 0x65, 0x2d, 0x43, 0x1c, 0xeb, 0xe2,
+      0x36, 0xfa, 0x3e};
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    const auto& legacy = version == 3 ? legacy_v3 : legacy_v4;
+    EXPECT_EQ(kern_bytes(version, tuned_kern()), legacy) << "v" << version;
+    serialize::Reader r(legacy, version);
+    kernels::skip_kern_section(r);
+    EXPECT_TRUE(r.at_end()) << "v" << version;
+
+    // The writer emits what the kernel-search writer did with the search
+    // off: tuned 0, each model's config, no timings. Without a small model
+    // the slot holds a default KernelConfig.
+    LegacyKern untuned = tuned_kern();
+    untuned.tuned = false;
+    untuned.timings.clear();
+    serialize::Writer w(version);
+    kernels::save_kern_section(w, untuned.full, &untuned.small);
+    EXPECT_EQ(w.take(), kern_bytes(version, untuned)) << "v" << version;
+    LegacyKern full_only;
+    full_only.full = untuned.full;
+    serialize::Writer w_full(version);
+    kernels::save_kern_section(w_full, full_only.full, nullptr);
+    EXPECT_EQ(w_full.take(), kern_bytes(version, full_only)) << "v" << version;
+  }
+}
+
+TEST(KernSectionSerialize, RejectsOutOfRangeKernelFields) {
+  // The reader discards the kernel fields but still range-checks them.
+  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
+    const auto error_of = [version](const std::vector<std::uint8_t>& bytes)
+        -> std::optional<serialize::ErrorCode> {
+      serialize::Reader r(bytes, version);
+      try {
+        kernels::skip_kern_section(r);
+        return std::nullopt;
+      } catch (const serialize::SerializeError& e) {
+        return e.code();
+      }
+    };
+    const std::vector<std::uint8_t> good = kern_bytes(version, tuned_kern());
+    const auto with_byte = [&good](std::size_t at, std::uint8_t v) {
+      std::vector<std::uint8_t> b = good;
+      b[at] = v;
+      return b;
+    };
+    constexpr auto kCorrupt = serialize::ErrorCode::CorruptData;
+    EXPECT_EQ(error_of(with_byte(0, 2)), kCorrupt);    // tuned flag
+    EXPECT_EQ(error_of(with_byte(1, 200)), kCorrupt);  // full model's dot
+    EXPECT_EQ(error_of(with_byte(11, 2)), kCorrupt);   // has_small flag
+    EXPECT_EQ(error_of(with_byte(13, 9)), kCorrupt);   // small model's tree
+    // A timing table longer than the bytes left.
+    std::vector<std::uint8_t> b = kern_bytes(version, {});
+    b[b.size() - 8] = 5;  // the u64 count's low byte
+    EXPECT_EQ(error_of(b), serialize::ErrorCode::Truncated);
+  }
+}
+
 TEST(RetiredOpSlotsSerialize, RetiredValuesLoadOntoSurvivor) {
   // Artifacts written while op-level choices were tuned carry their picks
   // (the op-tuned flag set, zero_copy on or off, retired lookup /
   // block_rows / one-hot values). Each was bit-exact with the path that now
   // always runs, so the bytes load and are ignored.
-  kernels::AutotuneReport rep;
-  rep.tuned = true;
-  rep.full = {kernels::DotVariant::Avx2, kernels::TreeVariant::Blocked, 16};
-  rep.has_small = true;
-  rep.small = {kernels::DotVariant::Unrolled, kernels::TreeVariant::RowWise, 1};
+  const LegacyKern kern = tuned_kern();
   const std::vector<RetiredSlots> retired = {
       {},                                      // the survivor's own bytes
       {.ops_tuned = 1, .zero_copy = 0},        // tuned zero-copy off
@@ -785,37 +882,30 @@ TEST(RetiredOpSlotsSerialize, RetiredValuesLoadOntoSurvivor) {
   };
   for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
     for (const RetiredSlots& slots : retired) {
-      const std::vector<std::uint8_t> bytes = kern_bytes(version, rep, slots);
+      const std::vector<std::uint8_t> bytes = kern_bytes(version, kern, slots);
       serialize::Reader r(bytes, version);
-      const kernels::AutotuneReport got = kernels::load_autotune_report(r);
+      kernels::skip_kern_section(r);
       EXPECT_TRUE(r.at_end());
-      EXPECT_EQ(got.tuned, rep.tuned);
-      EXPECT_EQ(got.full, rep.full);
-      EXPECT_EQ(got.has_small, rep.has_small);
-      EXPECT_EQ(got.small, rep.small);
-      EXPECT_TRUE(got.timings.empty());
     }
   }
 
-  // A whole pipeline artifact carrying such bytes predicts bit-identically
-  // to the in-memory pipeline, in both readable versions.
+  // A whole pipeline artifact carrying such bytes, with the kernel search's
+  // picks and timing table, predicts bit-identically to the in-memory
+  // pipeline in both readable versions: each model's own config rules.
   core::Pipeline pipeline;
   pipeline.graph = mixed_graph();
   pipeline.model_proto = std::make_shared<models::LogisticRegression>();
-  core::OptimizeOptions opts;
-  opts.autotune.reps = 1;
-  opts.autotune.sample_rows = 32;
   const auto optimized = core::WillumpOptimizer::optimize(
-      pipeline, labeled_strings(120, 113), labeled_strings(40, 127), opts);
+      pipeline, labeled_strings(120, 113), labeled_strings(40, 127), {});
   const data::Batch test = string_batch(25, 131);
   const std::vector<double> want = optimized.predict(test);
   for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
     const auto artifact = serialize::pipeline_to_bytes(optimized, version);
     for (const std::uint8_t zc : {0, 1}) {
-      const auto kern = kern_bytes(version, optimized.autotune_report(),
-                                   {.ops_tuned = 1, .zero_copy = zc});
+      const auto legacy =
+          kern_bytes(version, kern, {.ops_tuned = 1, .zero_copy = zc});
       const auto loaded =
-          serialize::pipeline_from_bytes(with_kern(artifact, kern));
+          serialize::pipeline_from_bytes(with_kern(artifact, legacy));
       EXPECT_EQ(loaded.predict(test), want)
           << "v" << version << " zero_copy=" << int{zc};
     }
@@ -825,11 +915,10 @@ TEST(RetiredOpSlotsSerialize, RetiredValuesLoadOntoSurvivor) {
 TEST(RetiredOpSlotsSerialize, RejectsOutOfRangeValues) {
   // Bytes no writer ever produced stay corrupt.
   const auto corrupt = [](std::uint32_t version, const RetiredSlots& slots) {
-    const std::vector<std::uint8_t> bytes =
-        kern_bytes(version, kernels::AutotuneReport{}, slots);
+    const std::vector<std::uint8_t> bytes = kern_bytes(version, {}, slots);
     serialize::Reader r(bytes, version);
     try {
-      kernels::load_autotune_report(r);
+      kernels::skip_kern_section(r);
       return false;  // should have thrown
     } catch (const serialize::SerializeError& e) {
       return e.code() == serialize::ErrorCode::CorruptData;
@@ -854,11 +943,8 @@ TEST(FeatureOpArtifact, V3PriceArtifactPredictsBitIdentically) {
   cfg.name_tfidf_features = 200;
   const auto wl = workloads::make_price(cfg);
 
-  core::OptimizeOptions opts;
-  opts.autotune.reps = 1;
-  opts.autotune.sample_rows = 64;
   const auto optimized =
-      core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
+      core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, {});
 
   const auto loaded = serialize::pipeline_from_bytes(
       serialize::pipeline_to_bytes(optimized, 3));

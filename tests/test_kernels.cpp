@@ -22,10 +22,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/cost_model.hpp"
 #include "core/optimizer.hpp"
 #include "data/matrix.hpp"
-#include "kernels/autotune.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/gemv.hpp"
 #include "models/gbdt.hpp"
@@ -34,6 +32,7 @@
 #include "serialize/artifact.hpp"
 #include "serialize/buffer.hpp"
 #include "serialize/error.hpp"
+#include "workloads/credit.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace willump {
@@ -120,8 +119,8 @@ TEST(DotVariants, DispatchIsClosedUnderDowngrade) {
     EXPECT_TRUE(kernels::dot_supported(kernels::effective_dot(v)))
         << kernels::variant_name(v);
   }
-  // candidate_dots only lists what the machine executes natively, so the
-  // autotuner never installs a config that would silently downgrade.
+  // candidate_dots only lists what the machine executes natively, so a
+  // sweep over it never times a variant that would silently downgrade.
   for (DotVariant v : kernels::candidate_dots()) {
     EXPECT_TRUE(kernels::dot_supported(v));
   }
@@ -434,48 +433,6 @@ TEST(KernelConfigSerialize, RejectsOutOfRangeValues) {
   EXPECT_TRUE(corrupt(0, 1, 65));    // block above kMaxTreeBlock
 }
 
-TEST(AutotuneReportSerialize, RoundTripsExactly) {
-  kernels::AutotuneReport tuned;
-  tuned.tuned = true;
-  tuned.full = {DotVariant::Avx2, TreeVariant::Blocked, 16};
-  tuned.has_small = true;
-  tuned.small = {DotVariant::Unrolled, TreeVariant::RowWise, 1};
-  tuned.timings = {{"full/dot:avx2", 1.5e-4}, {"small/tree:rowwise", 2.5e-5}};
-  const kernels::AutotuneReport untuned;  // forced/skipped: no timings
-
-  for (const std::uint32_t version : {3u, serialize::kFormatVersion}) {
-    for (const kernels::AutotuneReport* rep :
-         std::initializer_list<const kernels::AutotuneReport*>{&tuned,
-                                                               &untuned}) {
-      serialize::Writer w(version);
-      kernels::save_autotune_report(w, *rep);
-      // After the flags and two 10-byte kernel configs come the retired
-      // op-level slots, always written as the survivors: no op tuning,
-      // hash lookup, 256-row chunks, zero-copy on, and (v4) batched one-hot.
-      std::vector<std::uint8_t> want = {0, 0, 0x00, 0x01, 0x00, 0x00, 1};
-      if (version >= 4) want.push_back(1);
-      const auto bytes = w.bytes();
-      ASSERT_GE(bytes.size(), 22 + want.size());
-      EXPECT_EQ(std::vector<std::uint8_t>(bytes.begin() + 22,
-                                          bytes.begin() + 22 + want.size()),
-                want);
-
-      serialize::Reader r(bytes, version);
-      const kernels::AutotuneReport got = kernels::load_autotune_report(r);
-      EXPECT_TRUE(r.at_end());
-      EXPECT_EQ(got.tuned, rep->tuned);
-      EXPECT_EQ(got.full, rep->full);
-      EXPECT_EQ(got.has_small, rep->has_small);
-      EXPECT_EQ(got.small, rep->small);
-      ASSERT_EQ(got.timings.size(), rep->timings.size());
-      for (std::size_t i = 0; i < rep->timings.size(); ++i) {
-        EXPECT_EQ(got.timings[i].name, rep->timings[i].name);
-        EXPECT_EQ(got.timings[i].seconds, rep->timings[i].seconds);
-      }
-    }
-  }
-}
-
 template <typename ModelT>
 void expect_model_roundtrip_preserves_config_and_bits(
     ModelT& model, const data::FeatureMatrix& x) {
@@ -517,32 +474,8 @@ TEST(ModelRoundtrip, KernelConfigTravelsWithEveryModelFamily) {
 }
 
 // ---------------------------------------------------------------------------
-// Autotuner and optimizer wiring.
+// Kernel selection in the optimizer.
 // ---------------------------------------------------------------------------
-
-TEST(Autotune, InstallsASupportedWinnerAndRecordsEveryCandidate) {
-  common::Rng rng(13);
-  models::Gbdt model = trained_gbdt(rng);
-  const data::FeatureMatrix x(dense_matrix(128, 12, rng));
-
-  kernels::AutotuneConfig cfg;
-  cfg.reps = 1;
-  std::vector<kernels::VariantTiming> timings;
-  const KernelConfig winner =
-      core::tune_model_kernels(model, x, cfg, "gbdt", &timings);
-  EXPECT_EQ(model.kernel_config(), winner);
-  EXPECT_TRUE(kernels::dot_supported(winner.dot));
-  EXPECT_GE(winner.tree_block, 1u);
-  EXPECT_LE(winner.tree_block, kernels::kMaxTreeBlock);
-  // Stage 1 times every candidate dot; stage 2 times row-wise plus each
-  // configured block size.
-  EXPECT_EQ(timings.size(),
-            kernels::candidate_dots().size() + 1 + cfg.tree_blocks.size());
-  for (const auto& t : timings) {
-    EXPECT_EQ(t.name.rfind("gbdt/", 0), 0u) << t.name;
-    EXPECT_GT(t.seconds, 0.0) << t.name;
-  }
-}
 
 workloads::Workload tiny_synthetic() {
   workloads::SyntheticParallelConfig cfg;
@@ -552,48 +485,54 @@ workloads::Workload tiny_synthetic() {
   return workloads::make_synthetic_parallel(cfg);
 }
 
-TEST(Autotune, PipelineReportRoundTripsThroughArtifactWithIdenticalBits) {
+TEST(KernelSelection, DefaultOptimizeServesNativeConfigAndRoundTrips) {
   const auto wl = tiny_synthetic();
   core::OptimizeOptions opts;
-  opts.autotune.reps = 1;  // keep optimize-time tuning cheap in tests
-  opts.autotune.sample_rows = 64;
-  const auto tuned =
+  opts.cascades = true;
+  const auto pipeline =
       core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
-  ASSERT_TRUE(tuned.autotune_report().tuned);
-  EXPECT_EQ(tuned.autotune_report().full,
-            tuned.full_model().kernel_config());
-  EXPECT_FALSE(tuned.autotune_report().timings.empty());
+  ASSERT_NE(pipeline.cascade().small_model, nullptr);
+  EXPECT_EQ(pipeline.full_model().kernel_config(), kernels::native_config());
+  EXPECT_EQ(pipeline.cascade().small_model->kernel_config(),
+            kernels::native_config());
 
   const auto loaded =
-      serialize::pipeline_from_bytes(serialize::pipeline_to_bytes(tuned));
-  EXPECT_EQ(loaded.autotune_report().tuned, tuned.autotune_report().tuned);
-  EXPECT_EQ(loaded.autotune_report().full, tuned.autotune_report().full);
-  EXPECT_EQ(loaded.autotune_report().timings.size(),
-            tuned.autotune_report().timings.size());
-  EXPECT_EQ(loaded.full_model().kernel_config(),
-            tuned.full_model().kernel_config());
-  EXPECT_EQ(loaded.predict(wl.test.inputs), tuned.predict(wl.test.inputs));
+      serialize::pipeline_from_bytes(serialize::pipeline_to_bytes(pipeline));
+  EXPECT_EQ(loaded.full_model().kernel_config(), kernels::native_config());
+  EXPECT_EQ(loaded.cascade().small_model->kernel_config(),
+            kernels::native_config());
+  EXPECT_EQ(loaded.predict(wl.test.inputs), pipeline.predict(wl.test.inputs));
 }
 
-TEST(Autotune, ForcedKernelConfigSkipsTuningAndWinsEverywhere) {
+TEST(KernelSelection, ForcedKernelConfigWinsEverywhere) {
   const auto wl = tiny_synthetic();
   core::OptimizeOptions opts;
-  opts.kernel_config = reference_config();  // takes precedence over autotune
+  opts.cascades = true;
+  opts.kernel_config = reference_config();
   const auto pipeline =
       core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
-  EXPECT_FALSE(pipeline.autotune_report().tuned);
+  ASSERT_NE(pipeline.cascade().small_model, nullptr);
   EXPECT_EQ(pipeline.full_model().kernel_config(), reference_config());
-  EXPECT_EQ(pipeline.autotune_report().full, reference_config());
+  EXPECT_EQ(pipeline.cascade().small_model->kernel_config(),
+            reference_config());
 }
 
-TEST(Autotune, DisabledTuningKeepsNativeDefaults) {
-  const auto wl = tiny_synthetic();
-  core::OptimizeOptions opts;
-  opts.autotune_kernels = false;
-  const auto pipeline =
+TEST(KernelSelection, UnpinnedSetUpsServeNativeConfigWithIdenticalBits) {
+  // Dense features (numeric columns and table lookups) into a linear model:
+  // its margins run the dense dot kernels, whose variants differ in their
+  // last bits, so a per-set-up kernel pick would show here as a bit change.
+  workloads::CreditConfig cfg;
+  cfg.sizes = {.train = 600, .valid = 200, .test = 300};
+  auto wl = workloads::make_credit(cfg);
+  wl.pipeline.model_proto = std::make_shared<models::LinearRegression>();
+  const core::OptimizeOptions opts;
+  const auto first =
       core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
-  EXPECT_FALSE(pipeline.autotune_report().tuned);
-  EXPECT_EQ(pipeline.full_model().kernel_config(), kernels::native_config());
+  const auto second =
+      core::WillumpOptimizer::optimize(wl.pipeline, wl.train, wl.valid, opts);
+  EXPECT_EQ(first.full_model().kernel_config(), kernels::native_config());
+  EXPECT_EQ(second.full_model().kernel_config(), kernels::native_config());
+  EXPECT_EQ(first.predict(wl.test.inputs), second.predict(wl.test.inputs));
 }
 
 }  // namespace
