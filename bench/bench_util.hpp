@@ -16,6 +16,7 @@
 #include "common/timer.hpp"
 #include "core/optimizer.hpp"
 #include "models/metrics.hpp"
+#include "runtime/row_parallel.hpp"
 #include "workloads/credit.hpp"
 #include "workloads/music.hpp"
 #include "workloads/price.hpp"
@@ -53,7 +54,13 @@ inline bool trend() { return trend_flag(); }
 /// Parse shared bench CLI flags (--smoke, --trend), removing the ones
 /// recognized here so binaries with their own flag parsing (Google
 /// Benchmark) don't see them. Call first in every main().
+///
+/// Also marks the main thread serial for row-parallel batch calls
+/// (DESIGN.md §13): the paper's figures time single-threaded calls, so a
+/// compiled call here must not split its rows across helpers while the
+/// interpreted baseline runs on one core.
 inline void parse_args(int& argc, char** argv) {
+  runtime::mark_serial_thread();
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--smoke") {

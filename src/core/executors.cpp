@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -27,6 +28,23 @@ ExecScratch* request_scratch() {
 
 void set_request_scratch_enabled(bool enabled) {
   g_request_scratch_enabled.store(enabled, std::memory_order_relaxed);
+}
+
+bool row_shardable(const Executor& executor, const ExecOptions& opts,
+                   std::size_t n) {
+  const auto* compiled = dynamic_cast<const CompiledExecutor*>(&executor);
+  return n >= runtime::kMinShardedRows && compiled != nullptr &&
+         std::ranges::all_of(compiled->plan().fg_compilable, std::identity{}) &&
+         opts.cache == nullptr && opts.profiler == nullptr && opts.drivers == nullptr;
+}
+
+const data::Batch& row_range(const data::Batch& batch, std::size_t begin,
+                             std::size_t end, data::Batch& part) {
+  if (begin == 0 && end == batch.num_rows()) return batch;
+  std::vector<std::size_t> idx(end - begin);
+  std::iota(idx.begin(), idx.end(), begin);
+  part = batch.select_rows(idx);
+  return part;
 }
 
 namespace {

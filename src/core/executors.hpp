@@ -9,6 +9,7 @@
 #include "core/graph.hpp"
 #include "core/ifv_analysis.hpp"
 #include "runtime/profiler.hpp"
+#include "runtime/row_parallel.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace willump::core {
@@ -92,6 +93,40 @@ struct ExecOptions {
   /// always build private stores); passing one is always safe.
   ExecScratch* scratch = nullptr;
 };
+
+class Executor;
+
+/// Whether a batch call over `n` rows may split them across row helpers
+/// (runtime::parallel_rows): a compiled engine whose generators are all
+/// compilable (§4.4 parallelizes no non-compiled code), no feature cache
+/// (per-IFV locks; bounded eviction order would follow shard timing), no
+/// profiler or driver accounting, and n >= runtime::kMinShardedRows.
+bool row_shardable(const Executor& executor, const ExecOptions& opts,
+                   std::size_t n);
+
+/// Run `body(opts, begin, end)`, a batch call's serial body over the rows
+/// [begin, end) that writes only those rows' outputs, over ranges covering
+/// [0, n) exactly once. A row_shardable call goes through
+/// runtime::parallel_rows without the per-IFV pool and the caller's
+/// scratch; any other call is one body(opts, 0, n), with no allocation.
+template <class Body>
+void for_row_ranges(const Executor& executor, const ExecOptions& opts,
+                    std::size_t n, Body&& body) {
+  if (!row_shardable(executor, opts, n)) {
+    body(opts, std::size_t{0}, n);
+    return;
+  }
+  ExecOptions shard_opts = opts;
+  shard_opts.pool = nullptr;
+  shard_opts.scratch = nullptr;
+  runtime::parallel_rows(
+      n, [&](std::size_t begin, std::size_t end) { body(shard_opts, begin, end); });
+}
+
+/// The rows [begin, end) of `batch`: `batch` itself when that is every
+/// row, else a copy made in `part`.
+const data::Batch& row_range(const data::Batch& batch, std::size_t begin,
+                             std::size_t end, data::Batch& part);
 
 /// Common machinery of both execution engines: graph + IFV analysis
 /// ownership, block assembly, and layout probing.

@@ -49,7 +49,18 @@ std::vector<double> OptimizedPipeline::predict(const data::Batch& batch) const {
 
 void OptimizedPipeline::predict_into(const data::Batch& batch,
                                      std::span<double> out) const {
-  ExecOptions opts = exec_options();
+  // Rows are independent and each range writes only its own outputs, so a
+  // call split across row helpers gives the serial call's bits.
+  for_row_ranges(*executor_, exec_options(), batch.num_rows(),
+                 [&](const ExecOptions& opts, std::size_t begin, std::size_t end) {
+                   data::Batch part;
+                   predict_rows(row_range(batch, begin, end, part), opts,
+                                out.subspan(begin, end - begin));
+                 });
+}
+
+void OptimizedPipeline::predict_rows(const data::Batch& batch, ExecOptions opts,
+                                     std::span<double> out) const {
   // Per-worker reusable execution state (thread_local): node store, op
   // staging arena and result matrix keep their capacity across requests, so
   // the steady-state serving path stops allocating. Benchmarks switch it
@@ -58,10 +69,10 @@ void OptimizedPipeline::predict_into(const data::Batch& batch,
   opts.scratch = request_scratch();
   if (cascades_enabled()) {
     // Accumulate run counters locally, then merge atomically: concurrent
-    // serving workers share one pipeline, and plain increments on the
-    // shared counters would race (the executor itself is const and
-    // stateless per call; these counters are the only mutable state on
-    // this path).
+    // serving workers and row helpers share one pipeline, and plain
+    // increments on the shared counters would race (the executor itself is
+    // const and stateless per call; these counters are the only mutable
+    // state on this path).
     CascadeRunStats local;
     cascade_predict_into(*executor_, cascade_, batch, opts, out, &local);
     std::atomic_ref<std::size_t>(run_stats_.total_rows)

@@ -33,7 +33,10 @@ struct OptimizeOptions {
   /// Feature-level caching (§4.5). capacity 0 = unbounded.
   bool feature_cache = false;
   std::size_t cache_capacity = 0;
-  /// Per-input parallelization (§4.4).
+  /// Per-input parallelization (§4.4): a pool of this many threads (minus
+  /// the caller) runs one call's generators concurrently. Separately, large
+  /// compiled predict/top_k calls split their rows across up to cores - 1
+  /// short-lived helper threads and then skip this pool (DESIGN.md §13).
   std::size_t parallel_threads = 0;
   /// Build the automatic top-K filter model (§4.3).
   bool topk_filter = false;
@@ -54,6 +57,11 @@ struct OptimizeOptions {
 /// are per-call, and cascade run counters merge atomically. top_k is
 /// single-caller (its run counters are plain), and the run_stats()/
 /// topk_stats() accessors are meant to be read once serving quiesces.
+///
+/// A large predict / predict_into / top_k call may briefly run up to
+/// cores - 1 helper threads, started and joined inside the call
+/// (runtime::parallel_rows, DESIGN.md §13); its outputs are the serial
+/// call's bits. Calls from serving and thread-pool workers never do.
 class OptimizedPipeline {
  public:
   /// Everything a trained pipeline is made of — what WillumpOptimizer
@@ -112,6 +120,10 @@ class OptimizedPipeline {
   friend class WillumpOptimizer;
 
   ExecOptions exec_options() const;
+
+  /// predict_into's serial body over one row range of its batch.
+  void predict_rows(const data::Batch& batch, ExecOptions opts,
+                    std::span<double> out) const;
 
   std::shared_ptr<const Executor> executor_;
   TrainedCascade cascade_;  // full_model always set; small only if cascades

@@ -1,5 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
+#include "runtime/row_parallel.hpp"
+
 namespace willump::runtime {
 
 namespace {
@@ -79,6 +81,9 @@ void ThreadPool::enqueue(std::function<void()> fn) {
 }
 
 void ThreadPool::worker_loop() {
+  // Tasks are already one share of a parallel call: batch calls inside one
+  // run serially instead of starting row helpers of their own.
+  mark_serial_thread();
   for (;;) {
     std::function<void()> task;
     bool got = false;

@@ -6,6 +6,7 @@
 
 #include "common/hash.hpp"
 #include "common/timer.hpp"
+#include "runtime/row_parallel.hpp"
 #include "serialize/artifact.hpp"
 
 namespace willump::serving {
@@ -668,6 +669,9 @@ Server::ModelEntry* Server::pick_model_slo() const {
 }
 
 void Server::worker_loop(std::size_t worker_index) {
+  // Workers already run one batch per core; large batches on them run
+  // serially instead of starting row helpers, so serving adds no threads.
+  runtime::mark_serial_thread();
   ModelEntry* home = shards_[worker_index];
   const auto quantum = micros_duration(std::max(1.0, cfg_.steal_quantum_micros));
   // Rotating sweep start so concurrently idle workers don't all gang up on
