@@ -1,8 +1,9 @@
 // Memory-efficiency benchmark (DESIGN.md §11): the fleet-scale cost axes
 // the latency benches don't see. Five sections:
 //
-//   1. Steady-state allocations/request on the serving path, arena scratch
-//      on vs off, with bit-identical predictions either way.
+//   1. Steady-state allocations/request on the serving path, reused
+//      per-worker scratch vs a fresh call-local one per request, with
+//      bit-identical predictions either way.
 //   2. Per-replica heap cost of loading the same artifact N times with the
 //      content-hash intern pool on vs off (CoW fitted state).
 //   3. Artifact bytes under the WLMP v4 per-section codecs vs the v3
@@ -137,16 +138,18 @@ std::size_t proc_status_kib(const char* key) {
 
 double mib(double bytes) { return bytes / (1024.0 * 1024.0); }
 
-/// Section 1: steady-state allocations/request, per-worker arena scratch on
-/// vs off. Music is the all-numeric shape (table lookups + GBDT; both the
-/// feature assembly and the tree traversal reuse persistent scratch) where
-/// the arena path should hit zero heap traffic; toxic materializes a
+/// Section 1: steady-state allocations/request, the served path's reused
+/// per-worker scratch (predict_into) vs the same feature and model calls on
+/// a fresh call-local ExecScratch per request (what a caller that passes no
+/// scratch gets). Music is the all-numeric shape (table lookups + GBDT; both
+/// the feature assembly and the tree traversal reuse persistent scratch)
+/// where the reused path should hit zero heap traffic; toxic materializes a
 /// lowercased string column and its n-gram staging per request (strings
 /// fundamentally allocate), so its calibrated floor is a halving of the
-/// fresh-state count rather than zero.
+/// fresh-state count rather than zero. Both pipelines run without cascades.
 void bench_allocations(const workloads::Workload& wl,
                        const core::OptimizedPipeline& p, bool expect_zero) {
-  std::printf("\n-- %s: allocations per request (arena on vs off) --\n",
+  std::printf("\n-- %s: allocations per request (reused vs fresh scratch) --\n",
               wl.name.c_str());
   const std::size_t n =
       std::min<std::size_t>(wl.test.inputs.num_rows(), smoke() ? 64 : 512);
@@ -168,8 +171,18 @@ void bench_allocations(const workloads::Workload& wl,
       preds[i] = out_one[0];
     }
   };
+  // The uncascaded predict_into's calls, each request on its own scratch.
+  const auto run_fresh = [&](std::vector<double>& preds) {
+    core::ExecOptions opts;
+    opts.cache = p.cache();
+    for (std::size_t i = 0; i < n; ++i) {
+      core::ExecScratch fresh(core::ExecScratch::kCallLocalChunk);
+      p.full_model().predict_into(
+          p.executor().compute_matrix_into(rows[i], fresh, opts), {out_one, 1});
+      preds[i] = out_one[0];
+    }
+  };
 
-  core::set_request_scratch_enabled(true);
   run(preds_on);  // warmup: faults scratch, grows capacities to steady state
   run(preds_on);
   const std::uint64_t a0 = allocs_now();
@@ -177,13 +190,11 @@ void bench_allocations(const workloads::Workload& wl,
   const double arena_per_req =
       static_cast<double>(allocs_now() - a0) / static_cast<double>(n);
 
-  core::set_request_scratch_enabled(false);
-  run(preds_off);  // warmup for symmetric treatment
+  run_fresh(preds_off);  // warmup for symmetric treatment
   const std::uint64_t b0 = allocs_now();
-  run(preds_off);
+  run_fresh(preds_off);
   const double plain_per_req =
       static_cast<double>(allocs_now() - b0) / static_cast<double>(n);
-  core::set_request_scratch_enabled(true);
 
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -192,8 +203,8 @@ void bench_allocations(const workloads::Workload& wl,
 
   TablePrinter table({"path", "allocs/request"});
   table.print_header();
-  table.print_row({"arena scratch", fmt("%.2f", arena_per_req)});
-  table.print_row({"fresh state", fmt("%.2f", plain_per_req)});
+  table.print_row({"reused scratch", fmt("%.2f", arena_per_req)});
+  table.print_row({"fresh scratch", fmt("%.2f", plain_per_req)});
   std::printf("parity: %zu mismatched predictions (must be 0)\n", mismatches);
 
   check_trend(mismatches == 0, "arena-path predictions bit-exact with fresh-state");

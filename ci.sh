@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verification: exactly the command from ROADMAP.md.
-# Configure, build everything (library, 37 test suites, 18 benches,
+# Configure, build everything (library, 38 test suites, 18 benches,
 # 4 examples), then run the full ctest tree — unit suites plus the
 # bench/example smoke tests.
 set -euo pipefail

@@ -11,9 +11,9 @@ double IfvStats::total_cost() const {
 
 std::vector<double> measure_fg_costs(const Executor& executor,
                                      const data::Batch& train_inputs) {
-  runtime::Profiler profiler;
+  DriverStats drivers;
   ExecOptions opts;
-  opts.profiler = &profiler;
+  opts.drivers = &drivers;
   (void)executor.compute_blocks(train_inputs, opts);
 
   const auto& analysis = executor.analysis();
@@ -21,7 +21,8 @@ std::vector<double> measure_fg_costs(const Executor& executor,
   for (std::size_t f = 0; f < analysis.generators.size(); ++f) {
     double acc = 0.0;
     for (int node : analysis.generators[f].nodes) {
-      acc += profiler.total_seconds(node);
+      const auto i = static_cast<std::size_t>(node);
+      if (i < drivers.node_seconds.size()) acc += drivers.node_seconds[i];
     }
     // Floor at a small epsilon so cost-effectiveness ratios stay finite.
     costs[f] = std::max(acc, 1e-9);

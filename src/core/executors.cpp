@@ -12,22 +12,9 @@
 
 namespace willump::core {
 
-namespace {
-
-std::atomic<bool> g_request_scratch_enabled{true};
-
-}  // namespace
-
 ExecScratch* request_scratch() {
-  if (!g_request_scratch_enabled.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
   thread_local ExecScratch scratch;
   return &scratch;
-}
-
-void set_request_scratch_enabled(bool enabled) {
-  g_request_scratch_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 bool row_shardable(const Executor& executor, const ExecOptions& opts,
@@ -35,7 +22,7 @@ bool row_shardable(const Executor& executor, const ExecOptions& opts,
   const auto* compiled = dynamic_cast<const CompiledExecutor*>(&executor);
   return n >= runtime::kMinShardedRows && compiled != nullptr &&
          std::ranges::all_of(compiled->plan().fg_compilable, std::identity{}) &&
-         opts.cache == nullptr && opts.profiler == nullptr && opts.drivers == nullptr;
+         opts.cache == nullptr && opts.drivers == nullptr;
 }
 
 const data::Batch& row_range(const data::Batch& batch, std::size_t begin,
@@ -204,18 +191,18 @@ data::FeatureMatrix Executor::apply_post_chain(data::FeatureMatrix m,
   return m;
 }
 
-data::FeatureMatrix Executor::compute_matrix(const data::Batch& batch,
-                                             const ExecOptions& opts) const {
-  return assemble(compute_blocks(batch, opts), opts.fg_mask);
-}
-
 const data::FeatureMatrix& Executor::compute_matrix_into(
     const data::Batch& batch, ExecScratch& scratch,
     const ExecOptions& opts) const {
-  ExecOptions o = opts;
-  o.scratch = &scratch;
-  scratch.result = compute_matrix(batch, o);
+  scratch.result = assemble(compute_blocks(batch, opts), opts.fg_mask);
   return scratch.result;
+}
+
+data::FeatureMatrix Executor::compute_matrix(const data::Batch& batch,
+                                             const ExecOptions& opts) const {
+  ExecScratch local(ExecScratch::kCallLocalChunk);
+  compute_matrix_into(batch, local, opts);
+  return std::move(local.result);
 }
 
 void Executor::probe_layout(const data::Batch& probe) {
@@ -380,7 +367,9 @@ std::vector<data::FeatureMatrix> InterpretedExecutor::compute_blocks(
       common::Timer t;
       store[static_cast<std::size_t>(id)] =
           interpret_node(graph_, node, inputs, n);
-      if (opts.profiler != nullptr) opts.profiler->record(id, t.elapsed_seconds());
+      if (opts.drivers != nullptr) {
+        opts.drivers->add_node_seconds(id, t.elapsed_seconds());
+      }
     }
   };
 
@@ -498,23 +487,17 @@ CompiledExecutor::CompiledExecutor(Graph graph, IfvAnalysis analysis)
       plan_(compile_plan(graph_, analysis_)) {}
 
 std::span<const data::Value> CompiledExecutor::gather_inputs(
-    const Node& node, const data::Batch& batch, Frame& frame,
-    std::vector<data::Value>& tmp) const {
-  auto& store = frame.store;
+    const Node& node, const data::Batch& batch, ExecScratch& scratch) const {
+  auto& store = scratch.store;
   for (int in : node.inputs) {
     const Node& src = graph_.node(in);
     if (src.kind != NodeKind::Source) continue;
     const auto i = static_cast<std::size_t>(in);
-    if (frame.source_bound != nullptr) {
-      // Persistent store: the slot may hold last batch's column, so an
-      // explicit per-entry bit is the bind indicator; assign_column reuses
-      // the stale column's heap capacity.
-      if (!(*frame.source_bound)[i]) {
-        store[i].assign_column(batch.get(src.name));
-        (*frame.source_bound)[i] = 1;
-      }
-    } else if (store[i].empty()) {
-      store[i] = data::Value(batch.get(src.name));
+    // The slot may hold an earlier batch's column, so the per-entry bit is
+    // the bind indicator; assign_column reuses the stale column's capacity.
+    if (!scratch.source_bound[i]) {
+      store[i].assign_column(batch.get(src.name));
+      scratch.source_bound[i] = 1;
     }
   }
   if (node.inputs.size() == 1) {
@@ -522,6 +505,7 @@ std::span<const data::Value> CompiledExecutor::gather_inputs(
     // no per-step deep Value copy.
     return {&store[static_cast<std::size_t>(node.inputs[0])], 1};
   }
+  auto& tmp = scratch.gather_tmp;
   tmp.clear();
   tmp.reserve(node.inputs.size());
   for (int in : node.inputs) {
@@ -531,21 +515,18 @@ std::span<const data::Value> CompiledExecutor::gather_inputs(
 }
 
 void CompiledExecutor::run_steps(std::span<const PlanStep> steps,
-                                 const data::Batch& batch, Frame& frame,
+                                 const data::Batch& batch, ExecScratch& scratch,
                                  const ExecOptions& opts) const {
-  std::vector<data::Value> local_tmp;
-  std::vector<data::Value>& tmp =
-      frame.gather_tmp != nullptr ? *frame.gather_tmp : local_tmp;
   for (const auto& step : steps) {
     common::Timer driver_timer;
     // Driver stage: bind source inputs and gather operand values — the O(1)
     // marshaling the paper's C++ drivers perform.
     const Node& first = graph_.node(step.nodes.front());
-    const auto inputs = gather_inputs(first, batch, frame, tmp);
+    const auto inputs = gather_inputs(first, batch, scratch);
     const double driver_s = driver_timer.elapsed_seconds();
 
     common::Timer kernel_timer;
-    data::Value& slot = frame.store[static_cast<std::size_t>(step.nodes.back())];
+    data::Value& slot = scratch.store[static_cast<std::size_t>(step.nodes.back())];
     if (step.fused()) {
       // Fused string chain: one pass over the column, no intermediate
       // materialization (loop fusion).
@@ -564,45 +545,39 @@ void CompiledExecutor::run_steps(std::span<const PlanStep> steps,
                    dynamic_cast<const ops::SparseBlockEmitter*>(first.op.get());
                emitter != nullptr) {
       // Sparse block producers run their batched kernel even outside the
-      // zero-copy plan (cached, pooled and masked paths included); rows are
-      // bit-identical to eval_batch.
-      const ops::BlockExecContext ctx{frame.arena};
-      if (frame.source_bound != nullptr) {
-        // Persistent store: rebuild the slot's CSR in place so its index /
-        // value arrays keep last batch's capacity.
-        if (!slot.is_features()) {
-          slot = data::Value(data::FeatureMatrix(data::CsrMatrix(0)));
-        }
-        emitter->emit_into(inputs, ctx, slot.mutable_features().ensure_sparse());
-      } else {
-        slot = data::Value(data::FeatureMatrix(emitter->emit_batch(inputs, ctx)));
+      // zero-copy plan (cached, pooled and masked paths included), rebuilding
+      // the slot's CSR in place so its arrays keep the last entry's
+      // capacity; rows are bit-identical to eval_batch.
+      if (!slot.is_features()) {
+        slot = data::Value(data::FeatureMatrix(data::CsrMatrix(0)));
       }
+      emitter->emit_into(inputs, ops::BlockExecContext{scratch.arena},
+                         slot.mutable_features().ensure_sparse());
     } else {
       slot = first.op->eval_batch(inputs);
     }
     const double kernel_s = kernel_timer.elapsed_seconds();
 
-    if (opts.profiler != nullptr) {
-      opts.profiler->record(step.nodes.back(), driver_s + kernel_s);
-    }
     if (opts.drivers != nullptr) {
       opts.drivers->driver_seconds += driver_s;
       opts.drivers->kernel_seconds += kernel_s;
       ++opts.drivers->block_entries;
+      opts.drivers->add_node_seconds(step.nodes.back(), driver_s + kernel_s);
     }
   }
 }
 
 data::FeatureMatrix CompiledExecutor::compute_block_plain(
-    const data::Batch& batch, std::size_t f, Frame& frame,
+    const data::Batch& batch, std::size_t f, ExecScratch& scratch,
     const ExecOptions& opts) const {
   const auto& fg = analysis_.generators[f];
-  run_steps(plan_.fg_steps[f], batch, frame, opts);
-  return frame.store[static_cast<std::size_t>(fg.output_node)].features();
+  run_steps(plan_.fg_steps[f], batch, scratch, opts);
+  return scratch.store[static_cast<std::size_t>(fg.output_node)].features();
 }
 
 data::FeatureMatrix CompiledExecutor::compute_block_cached(
-    const data::Batch& batch, std::size_t f, const ExecOptions& opts) const {
+    const data::Batch& batch, std::size_t f, ExecScratch& scratch,
+    const ExecOptions& opts) const {
   const auto& fg = analysis_.generators[f];
   FeatureCacheBank& cache = *opts.cache;
   const std::size_t n = batch.num_rows();
@@ -628,10 +603,9 @@ data::FeatureMatrix CompiledExecutor::compute_block_cached(
     // Recompute only the missing rows: preprocessing + this generator on the
     // row subset (so a remote lookup fetches only the missing keys).
     const data::Batch sub = batch.select_rows(missing);
-    std::vector<data::Value> store(graph_.size());
-    Frame frame{store};
-    run_steps(plan_.preprocessing, sub, frame, opts);
-    const data::FeatureMatrix block = compute_block_plain(sub, f, frame, opts);
+    scratch.begin(graph_.size());
+    run_steps(plan_.preprocessing, sub, scratch, opts);
+    const data::FeatureMatrix block = compute_block_plain(sub, f, scratch, opts);
     for (std::size_t i = 0; i < missing.size(); ++i) {
       cache.insert(f, keys[missing[i]], cached_row_of(block, i));
     }
@@ -647,6 +621,14 @@ data::FeatureMatrix CompiledExecutor::compute_block_cached(
 
 std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     const data::Batch& batch, const ExecOptions& opts) const {
+  if (opts.scratch != nullptr) return compute_blocks(batch, *opts.scratch, opts);
+  ExecScratch local(ExecScratch::kCallLocalChunk);
+  return compute_blocks(batch, local, opts);
+}
+
+std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
+    const data::Batch& batch, ExecScratch& scratch,
+    const ExecOptions& opts) const {
   const std::size_t num_fg = analysis_.generators.size();
   std::vector<data::FeatureMatrix> blocks(num_fg);
 
@@ -660,30 +642,17 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     // Cached path processes each generator independently (preprocessing is
     // recomputed per missing subset; cached workloads have none).
     for (std::size_t f : selected) {
-      blocks[f] = compute_block_cached(batch, f, opts);
+      blocks[f] = compute_block_cached(batch, f, scratch, opts);
     }
     return blocks;
   }
 
-  // The persistent scratch store only backs the serial path: pooled tasks
-  // copy the seeded store into private vectors (and must not share the
-  // single-threaded arena).
-  ExecScratch* sc = opts.pool == nullptr ? opts.scratch : nullptr;
-  std::vector<data::Value> local_store;
-  if (sc != nullptr) {
-    sc->begin(graph_.size());
-  } else {
-    local_store.resize(graph_.size());
-  }
-  Frame frame = sc != nullptr
-                    ? Frame{sc->store, &sc->source_bound, &sc->arena,
-                            &sc->gather_tmp}
-                    : Frame{local_store};
-  run_steps(plan_.preprocessing, batch, frame, opts);
+  scratch.begin(graph_.size());
+  run_steps(plan_.preprocessing, batch, scratch, opts);
 
   if (opts.pool == nullptr || selected.size() < 2) {
     for (std::size_t f : selected) {
-      blocks[f] = compute_block_plain(batch, f, frame, opts);
+      blocks[f] = compute_block_plain(batch, f, scratch, opts);
     }
     return blocks;
   }
@@ -714,27 +683,36 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
     group_cost[g] += f < fg_costs_.size() ? fg_costs_[f] : 1.0;
   }
 
+  // Each task runs on its own call-local scratch, seeded with this entry's
+  // bound sources and preprocessing outputs only (never with a reused
+  // store's stale slots); generators write disjoint block slots.
+  std::vector<int> seeded;
+  for (std::size_t i = 0; i < scratch.source_bound.size(); ++i) {
+    if (scratch.source_bound[i]) seeded.push_back(static_cast<int>(i));
+  }
+  for (const auto& step : plan_.preprocessing) seeded.push_back(step.nodes.back());
   std::vector<std::function<void()>> tasks;
   for (auto& group : groups) {
     if (group.empty()) continue;
-    tasks.push_back([this, &batch, &blocks, &local_store, &opts, group] {
-      // Each task gets its own store copy seeded with preprocessing
-      // results; generators write disjoint block slots.
-      std::vector<data::Value> local = local_store;
-      Frame local_frame{local};
+    tasks.push_back([this, &batch, &blocks, &scratch, &seeded, &opts, group] {
+      ExecScratch local(ExecScratch::kCallLocalChunk);
+      local.begin(graph_.size());
+      for (int id : seeded) {
+        const auto i = static_cast<std::size_t>(id);
+        local.store[i] = scratch.store[i];
+        local.source_bound[i] = scratch.source_bound[i];
+      }
       ExecOptions local_opts = opts;
-      local_opts.profiler = nullptr;  // profiler is not thread-safe
-      local_opts.drivers = nullptr;
-      local_opts.scratch = nullptr;   // per-worker state, not shareable
+      local_opts.drivers = nullptr;  // accounting is not thread-safe
       for (std::size_t f : group) {
-        blocks[f] = compute_block_plain(batch, f, local_frame, local_opts);
+        blocks[f] = compute_block_plain(batch, f, local, local_opts);
       }
     });
   }
   opts.pool->run_all(std::move(tasks));
 
   for (std::size_t f : serial_fgs) {
-    blocks[f] = compute_block_plain(batch, f, frame, opts);
+    blocks[f] = compute_block_plain(batch, f, scratch, opts);
   }
   return blocks;
 }
@@ -744,23 +722,19 @@ std::vector<data::FeatureMatrix> CompiledExecutor::compute_blocks(
 // ---------------------------------------------------------------------------
 
 bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
-                                        const ExecOptions& opts,
-                                        data::FeatureMatrix& result) const {
+                                        ExecScratch& scratch,
+                                        const ExecOptions& opts) const {
   const std::size_t num_fg = analysis_.generators.size();
   const std::size_t rows = batch.num_rows();
   // Planning needs the probed layout and exclusive use of the sequential
   // step machinery; every other mode falls back to the reference path
   // (which produces the identical matrix).
   if (rows == 0 || opts.cache != nullptr || opts.pool != nullptr ||
-      opts.profiler != nullptr || opts.drivers != nullptr ||
-      analysis_.block_cols.size() != num_fg) {
+      opts.drivers != nullptr || analysis_.block_cols.size() != num_fg) {
     return false;
   }
 
-  ExecScratch* sc = opts.scratch;
-  std::vector<std::size_t> selected_local;
-  std::vector<std::size_t>& selected =
-      sc != nullptr ? sc->selected : selected_local;
+  std::vector<std::size_t>& selected = scratch.selected;
   selected.clear();
   bool full = true;
   for (std::size_t f = 0; f < num_fg; ++f) {
@@ -792,26 +766,15 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
     }
   }
 
-  std::vector<data::Value> local_store;
-  if (sc != nullptr) {
-    sc->begin(graph_.size());
-  } else {
-    local_store.resize(graph_.size());
-  }
-  Frame frame = sc != nullptr
-                    ? Frame{sc->store, &sc->source_bound, &sc->arena,
-                            &sc->gather_tmp}
-                    : Frame{local_store};
-  const ops::BlockExecContext ctx{frame.arena};
-  std::vector<data::Value> gather_local;
-  std::vector<data::Value>& gtmp =
-      frame.gather_tmp != nullptr ? *frame.gather_tmp : gather_local;
-  run_steps(plan_.preprocessing, batch, frame, opts);
+  scratch.begin(graph_.size());
+  const ops::BlockExecContext ctx{scratch.arena};
+  data::FeatureMatrix& result = scratch.result;
+  run_steps(plan_.preprocessing, batch, scratch, opts);
 
   if (all_dense_writers) {
-    // Dense plan: one matrix for the downstream model's whole input (reused
-    // in place on persistent destinations); every generator writes its
-    // column slice. No per-op DenseMatrix, no hconcat.
+    // Dense plan: one matrix for the downstream model's whole input (rebuilt
+    // in place, keeping its capacity); every generator writes its column
+    // slice. No per-op DenseMatrix, no hconcat.
     std::size_t total_cols = 0;
     for (std::size_t f : selected) total_cols += analysis_.block_cols[f];
     auto& out = result.ensure_dense();
@@ -822,9 +785,9 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
       const auto& fg = analysis_.generators[f];
       const auto& steps = plan_.fg_steps[f];
       run_steps(std::span<const PlanStep>(steps.data(), steps.size() - 1), batch,
-                frame, opts);
+                scratch, opts);
       const Node& node = graph_.node(fg.output_node);
-      const auto inputs = gather_inputs(node, batch, frame, gtmp);
+      const auto inputs = gather_inputs(node, batch, scratch);
       const auto* writer =
           dynamic_cast<const ops::DenseBlockWriter*>(node.op.get());
       writer->write_block(inputs, ctx, base + col_off, rows, total_cols);
@@ -836,14 +799,14 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
 
   if (all_sparse_emitters && selected.size() == 1) {
     // Single sparse generator: the emitted CSR IS the model input, rebuilt
-    // in place on persistent destinations.
+    // in place.
     const std::size_t f = selected[0];
     const auto& fg = analysis_.generators[f];
     const auto& steps = plan_.fg_steps[f];
     run_steps(std::span<const PlanStep>(steps.data(), steps.size() - 1), batch,
-                frame, opts);
+              scratch, opts);
     const Node& node = graph_.node(fg.output_node);
-    const auto inputs = gather_inputs(node, batch, frame, gtmp);
+    const auto inputs = gather_inputs(node, batch, scratch);
     const auto* emitter =
         dynamic_cast<const ops::SparseBlockEmitter*>(node.op.get());
     emitter->emit_into(inputs, ctx, result.ensure_sparse());
@@ -852,15 +815,15 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
   }
 
   // Mixed plan: the reference path's blocks and k-way concat, but the
-  // concat rebuilds `result` in place, so a persistent destination keeps
-  // its CSR capacity where the reference path allocates a fresh matrix per
-  // call (bench_memory: toxic's single-row requests make 14.0 allocations
-  // here, 21.2 on the reference path).
+  // concat rebuilds `result` in place, so a reused scratch keeps its CSR
+  // capacity where the reference path allocates a fresh matrix per call
+  // (bench_memory: toxic's single-row requests make 14.0 allocations here,
+  // 21.2 on the reference path).
   std::vector<data::FeatureMatrix> computed(num_fg);
   std::vector<const data::FeatureMatrix*> parts;
   parts.reserve(selected.size());
   for (std::size_t f : selected) {
-    computed[f] = compute_block_plain(batch, f, frame, opts);
+    computed[f] = compute_block_plain(batch, f, scratch, opts);
     parts.push_back(&computed[f]);
   }
   data::FeatureMatrix::hconcat_all_into(parts, result);
@@ -868,20 +831,12 @@ bool CompiledExecutor::plan_matrix_into(const data::Batch& batch,
   return true;
 }
 
-data::FeatureMatrix CompiledExecutor::compute_matrix(
-    const data::Batch& batch, const ExecOptions& opts) const {
-  data::FeatureMatrix result;
-  if (plan_matrix_into(batch, opts, result)) return result;
-  return Executor::compute_matrix(batch, opts);
-}
-
 const data::FeatureMatrix& CompiledExecutor::compute_matrix_into(
     const data::Batch& batch, ExecScratch& scratch,
     const ExecOptions& opts) const {
-  ExecOptions o = opts;
-  o.scratch = &scratch;
-  if (plan_matrix_into(batch, o, scratch.result)) return scratch.result;
-  scratch.result = Executor::compute_matrix(batch, o);
+  if (!plan_matrix_into(batch, scratch, opts)) {
+    scratch.result = assemble(compute_blocks(batch, scratch, opts), opts.fg_mask);
+  }
   return scratch.result;
 }
 

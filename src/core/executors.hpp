@@ -8,29 +8,36 @@
 #include "core/feature_cache.hpp"
 #include "core/graph.hpp"
 #include "core/ifv_analysis.hpp"
-#include "runtime/profiler.hpp"
 #include "runtime/row_parallel.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace willump::core {
 
-/// Reusable per-worker execution state. One instance per worker thread; the
-/// executor rewinds it at every compute entry so the steady-state request
-/// path performs (almost) zero heap allocations:
+/// The compiled engine's one execution state. Every compute entry runs on
+/// an ExecScratch and rewinds it first:
 ///  - `arena`: bump allocator for trivially-destructible op staging
-///    (densify buffers, hash staging) — reset per entry, chunks retained;
-///  - `store` + `source_bound`: the persistent node store. Values keep their
-///    heap capacity across requests; `source_bound` (cleared per entry)
-///    replaces the fresh-store `empty()` check as the source-bind indicator,
-///    so a stale column from the previous batch is never mistaken for a
-///    bound one;
+///    (bucket arrays, densify buffers); reset per entry, chunks retained;
+///  - `store` + `source_bound`: the node store. Values keep their heap
+///    capacity across entries; `source_bound` (cleared per entry) marks the
+///    sources bound in this entry, so a stale column from an earlier batch
+///    or graph is never mistaken for a bound one;
 ///  - `result`: destination matrix of compute_matrix_into, reused in place.
+///
+/// A caller that passes none (ExecOptions::scratch == nullptr,
+/// Executor::compute_matrix) gets a call-local one, and so does each
+/// pooled task; feature-cache misses run on the call's scratch. A
+/// call-local arena takes no chunk until an op asks for one.
 ///
 /// Not thread-safe. Never share one scratch between concurrent calls; the
 /// serving layer keys them thread_local (see request_scratch()).
 struct ExecScratch {
+  /// `arena_chunk_bytes` sizes the arena's first chunk: 256 KiB for a
+  /// worker's long-lived scratch, kCallLocalChunk for a call-local one,
+  /// whose first chunk is then just what the first op asks for.
   explicit ExecScratch(std::size_t arena_chunk_bytes = 1u << 18)
       : arena(arena_chunk_bytes) {}
+
+  static constexpr std::size_t kCallLocalChunk = 0;
 
   common::Arena arena;
   std::vector<data::Value> store;
@@ -51,22 +58,27 @@ struct ExecScratch {
   }
 };
 
-/// The calling thread's request scratch, or nullptr when arena-path reuse is
-/// disabled by set_request_scratch_enabled(false). The serving engine's
-/// worker threads each get their own instance lazily, with the default
-/// 256 KiB first arena chunk.
+/// The calling thread's request scratch (thread_local, never null). The
+/// serving engine's worker threads each get their own instance lazily, with
+/// the default 256 KiB first arena chunk.
 ExecScratch* request_scratch();
 
-/// Process-wide switch for the request scratch (on by default; benchmarks
-/// toggle it to measure both sides in one process).
-void set_request_scratch_enabled(bool enabled);
-
-/// Marshaling/kernel time split of a compiled execution — the analog of the
-/// paper's Weld-driver overhead measurement (§6.4, "Weld Drivers").
+/// Time accounting of a compiled execution: the marshaling/kernel split, the
+/// analog of the paper's Weld-driver overhead measurement (§6.4, "Weld
+/// Drivers"), and per-node seconds, the cost model's input (§4.2).
 struct DriverStats {
   double driver_seconds = 0.0;  // input gathering + output placement
   double kernel_seconds = 0.0;  // operator kernels
   std::size_t block_entries = 0;
+  /// Seconds per node, indexed by node id; a fused chain's time lands on
+  /// its last node. Grows to the highest node recorded.
+  std::vector<double> node_seconds;
+
+  void add_node_seconds(int node, double seconds) {
+    const auto i = static_cast<std::size_t>(node);
+    if (i >= node_seconds.size()) node_seconds.resize(i + 1, 0.0);
+    node_seconds[i] += seconds;
+  }
 
   double overhead_fraction() const {
     const double total = driver_seconds + kernel_seconds;
@@ -84,13 +96,11 @@ struct ExecOptions {
   /// Thread pool for per-input parallelization of compiled feature
   /// generators (§4.4); nullptr = sequential.
   runtime::ThreadPool* pool = nullptr;
-  /// Per-node timing (cost model input); nullptr disables.
-  runtime::Profiler* profiler = nullptr;
-  /// Driver/kernel split accounting; nullptr disables.
+  /// Driver/kernel split and per-node time accounting; nullptr disables.
   DriverStats* drivers = nullptr;
-  /// Per-worker reusable execution state; nullptr = allocate per call. Only
-  /// the serial uncached path uses it (pooled tasks and cached sub-batches
-  /// always build private stores); passing one is always safe.
+  /// Reusable execution state for compute_blocks; nullptr = a call-local
+  /// one. compute_matrix_into takes its scratch as an argument and
+  /// compute_matrix always runs call-local.
   ExecScratch* scratch = nullptr;
 };
 
@@ -100,7 +110,7 @@ class Executor;
 /// (runtime::parallel_rows): a compiled engine whose generators are all
 /// compilable (§4.4 parallelizes no non-compiled code), no feature cache
 /// (per-IFV locks; bounded eviction order would follow shard timing), no
-/// profiler or driver accounting, and n >= runtime::kMinShardedRows.
+/// driver accounting, and n >= runtime::kMinShardedRows.
 bool row_shardable(const Executor& executor, const ExecOptions& opts,
                    std::size_t n);
 
@@ -147,19 +157,19 @@ class Executor {
   data::FeatureMatrix assemble(const std::vector<data::FeatureMatrix>& blocks,
                                const std::vector<bool>& mask) const;
 
-  /// compute_blocks + assemble in one call. Virtual so engines can plan the
-  /// final matrix directly (the compiled engine's zero-copy block path).
-  virtual data::FeatureMatrix compute_matrix(const data::Batch& batch,
-                                             const ExecOptions& opts = {}) const;
-
-  /// Allocation-reusing variant: computes the same matrix as compute_matrix
-  /// but into `scratch.result` (valid until the next call with the same
-  /// scratch) and threads `scratch` through the engine so node values and
-  /// op staging reuse the previous request's capacity. Base implementation
-  /// moves compute_matrix's result into the slot.
+  /// compute_blocks + assemble into `scratch.result` (valid until the next
+  /// call with the same scratch). Engines may plan the final matrix
+  /// directly (the compiled engine's zero-copy block path); the compiled
+  /// engine runs the whole entry on `scratch`, so node values and op
+  /// staging reuse the previous entry's capacity. `opts.scratch` is not
+  /// read.
   virtual const data::FeatureMatrix& compute_matrix_into(
       const data::Batch& batch, ExecScratch& scratch,
       const ExecOptions& opts = {}) const;
+
+  /// compute_matrix_into on a call-local scratch, returning the matrix.
+  data::FeatureMatrix compute_matrix(const data::Batch& batch,
+                                     const ExecOptions& opts = {}) const;
 
   /// Execute once on `probe` to record each generator's block width in the
   /// analysis (cascades need the column layout before training models).
@@ -243,25 +253,12 @@ class CompiledExecutor final : public Executor {
  public:
   CompiledExecutor(Graph graph, IfvAnalysis analysis);
 
+  /// Runs on `opts.scratch`, or on a call-local scratch when it is null.
   std::vector<data::FeatureMatrix> compute_blocks(
       const data::Batch& batch, const ExecOptions& opts) const override;
 
-  /// Zero-copy planned assembly: when the layout is known and every
-  /// selected generator ends in a block-kernel op, the final feature matrix
-  /// is allocated once and ops write their column slices (dense) or stream
-  /// their CSR rows (sparse) straight into it — no per-op block, no
-  /// concat copy; mixed selections run the k-way concat into it. Falls
-  /// back to the reference compute_blocks+assemble path whenever planning
-  /// does not apply (empty batch, caching, pooling, profiling, driver
-  /// accounting, unknown layout, a non-block-kernel terminal); both paths
-  /// produce bit-identical matrices.
-  data::FeatureMatrix compute_matrix(const data::Batch& batch,
-                                     const ExecOptions& opts = {}) const override;
-
-  /// Zero-copy planning into a persistent destination: the planned matrix is
-  /// rebuilt inside `scratch.result` (ensure_dense/ensure_sparse keep the
-  /// previous request's heap capacity) and the whole entry runs against the
-  /// scratch's node store and arena.
+  /// Zero-copy planned assembly when it applies (see plan_matrix_into),
+  /// else compute_blocks + assemble; both produce bit-identical matrices.
   const data::FeatureMatrix& compute_matrix_into(
       const data::Batch& batch, ExecScratch& scratch,
       const ExecOptions& opts = {}) const override;
@@ -269,46 +266,45 @@ class CompiledExecutor final : public Executor {
   const CompiledPlan& plan() const { return plan_; }
 
  private:
-  /// One compute entry's mutable state: the node store plus the optional
-  /// scratch extensions. `source_bound`/`arena`/`gather_tmp` are null on the
-  /// fresh-store paths (pooled tasks, cached sub-batches), where the
-  /// original `empty()` source-bind check and per-step temporaries apply.
-  struct Frame {
-    std::vector<data::Value>& store;
-    std::vector<std::uint8_t>* source_bound = nullptr;
-    common::Arena* arena = nullptr;
-    std::vector<data::Value>* gather_tmp = nullptr;
-  };
-
-  /// Evaluate a step list over `batch` into the frame's store.
+  /// Evaluate a step list over `batch` into the scratch's store.
   void run_steps(std::span<const PlanStep> steps, const data::Batch& batch,
-                 Frame& frame, const ExecOptions& opts) const;
+                 ExecScratch& scratch, const ExecOptions& opts) const;
 
-  /// Compute one generator's block with per-row feature caching.
+  /// Every selected generator's block, computed on `scratch`.
+  std::vector<data::FeatureMatrix> compute_blocks(const data::Batch& batch,
+                                                  ExecScratch& scratch,
+                                                  const ExecOptions& opts) const;
+
+  /// Compute one generator's block with per-row feature caching; missing
+  /// rows are computed on `scratch`.
   data::FeatureMatrix compute_block_cached(const data::Batch& batch,
-                                           std::size_t f,
+                                           std::size_t f, ExecScratch& scratch,
                                            const ExecOptions& opts) const;
 
   /// Plain (uncached) computation of one generator's block given computed
   /// preprocessing values.
   data::FeatureMatrix compute_block_plain(const data::Batch& batch,
-                                          std::size_t f, Frame& frame,
+                                          std::size_t f, ExecScratch& scratch,
                                           const ExecOptions& opts) const;
 
   /// Bind source columns and gather a node's operand values from the store
   /// (the run_steps driver stage, reused by the zero-copy planner). The
   /// returned span views store slots directly for single-input nodes (no
-  /// Value copies); multi-input nodes stage copies in `tmp`.
+  /// Value copies); multi-input nodes stage copies in `scratch.gather_tmp`.
   std::span<const data::Value> gather_inputs(const Node& node,
                                              const data::Batch& batch,
-                                             Frame& frame,
-                                             std::vector<data::Value>& tmp) const;
+                                             ExecScratch& scratch) const;
 
-  /// Attempt the zero-copy planned assembly into `result`; returns false
-  /// when planning preconditions fail and the caller must fall back to the
-  /// reference compute_blocks+assemble path.
-  bool plan_matrix_into(const data::Batch& batch, const ExecOptions& opts,
-                        data::FeatureMatrix& result) const;
+  /// Zero-copy planned assembly into `scratch.result`: when the layout is
+  /// known and every selected generator ends in a block-kernel op, the
+  /// final feature matrix is built once and ops write their column slices
+  /// (dense) or stream their CSR rows (sparse) straight into it; mixed
+  /// selections run the k-way concat into it. Returns false, having run
+  /// nothing, when planning does not apply (empty batch, caching, pooling,
+  /// driver accounting, unknown layout, a fused or non-block-kernel
+  /// terminal).
+  bool plan_matrix_into(const data::Batch& batch, ExecScratch& scratch,
+                        const ExecOptions& opts) const;
 
   CompiledPlan plan_;
 };

@@ -63,10 +63,9 @@ void OptimizedPipeline::predict_rows(const data::Batch& batch, ExecOptions opts,
                                      std::span<double> out) const {
   // Per-worker reusable execution state (thread_local): node store, op
   // staging arena and result matrix keep their capacity across requests, so
-  // the steady-state serving path stops allocating. Benchmarks switch it
-  // off with set_request_scratch_enabled; predictions are bit-identical
-  // either way.
-  opts.scratch = request_scratch();
+  // the steady-state serving path stops allocating.
+  ExecScratch& scratch = *request_scratch();
+  opts.scratch = &scratch;
   if (cascades_enabled()) {
     // Accumulate run counters locally, then merge atomically: concurrent
     // serving workers and row helpers share one pipeline, and plain
@@ -81,12 +80,8 @@ void OptimizedPipeline::predict_rows(const data::Batch& batch, ExecOptions opts,
         .fetch_add(local.short_circuited, std::memory_order_relaxed);
     return;
   }
-  if (opts.scratch != nullptr) {
-    cascade_.full_model->predict_into(
-        executor_->compute_matrix_into(batch, *opts.scratch, opts), out);
-    return;
-  }
-  cascade_.full_model->predict_into(executor_->compute_matrix(batch, opts), out);
+  cascade_.full_model->predict_into(
+      executor_->compute_matrix_into(batch, scratch, opts), out);
 }
 
 double OptimizedPipeline::predict_one(const data::Batch& row) const {

@@ -8,14 +8,12 @@
 
 namespace willump::ops {
 
-/// Per-call state threaded through the blocked execution path. `arena`,
-/// when set, is the calling worker's per-batch bump allocator: ops may
-/// stage trivially-destructible scratch (bucket arrays, densify buffers)
-/// there instead of the heap; the executor resets it between batches. Null
-/// means no arena is threaded (interpreted engine, tests) — ops must fall
-/// back to their own allocation.
+/// Per-call state threaded through the blocked execution path. `arena` is
+/// the compute entry's bump allocator (its ExecScratch's): ops may stage
+/// trivially-destructible scratch (bucket arrays, densify buffers) there
+/// instead of the heap; the executor resets it between entries.
 struct BlockExecContext {
-  common::Arena* arena = nullptr;
+  common::Arena& arena;
 };
 
 /// Mixin for ops whose output is a dense block of known width: the executor
@@ -35,28 +33,22 @@ class DenseBlockWriter {
 };
 
 /// Mixin for ops that produce sparse blocks: emit the whole batch as CSR in
-/// one pass using per-worker scratch. The
-/// executor moves the result out (single-generator plans) or streams it
-/// through the fused k-way concat. Rows must be bit-identical to
-/// eval_batch's sparse output.
+/// one pass using per-worker scratch. The executor emits into the model
+/// input itself (single-generator plans) or into a node-store slot that the
+/// k-way concat reads. Rows must be bit-identical to eval_batch's sparse
+/// output.
 class SparseBlockEmitter {
  public:
   virtual ~SparseBlockEmitter() = default;
-
-  virtual data::CsrMatrix emit_batch(std::span<const data::Value> inputs,
-                                     const BlockExecContext& ctx) const = 0;
 
   /// Emit into a caller-owned CSR whose backing arrays persist across
   /// batches: the op reset()s `out` to its own column count (keeping the
   /// arrays' capacity) and appends this batch's rows, so the steady-state
   /// request path reuses capacity instead of allocating a fresh matrix per
-  /// batch. Default delegates to emit_batch; ops with reusable scratch
-  /// override.
+  /// batch.
   virtual void emit_into(std::span<const data::Value> inputs,
                          const BlockExecContext& ctx,
-                         data::CsrMatrix& out) const {
-    out = emit_batch(inputs, ctx);
-  }
+                         data::CsrMatrix& out) const = 0;
 };
 
 }  // namespace willump::ops

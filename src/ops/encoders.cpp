@@ -50,13 +50,6 @@ data::Value OneHotHashOp::eval_batch(std::span<const data::Value> inputs) const 
   return data::Value(data::FeatureMatrix(std::move(out)));
 }
 
-data::CsrMatrix OneHotHashOp::emit_batch(std::span<const data::Value> inputs,
-                                         const BlockExecContext& ctx) const {
-  data::CsrMatrix out(n_buckets_);
-  emit_into(inputs, ctx, out);
-  return out;
-}
-
 void OneHotHashOp::emit_into(std::span<const data::Value> inputs,
                              const BlockExecContext& ctx,
                              data::CsrMatrix& out) const {
@@ -68,17 +61,11 @@ void OneHotHashOp::emit_into(std::span<const data::Value> inputs,
   out.reset(n_buckets_);
   out.reserve(keys.size(), keys.size());  // exactly one entry per row
   data::SparseEntry e[1];
-  // Hash the whole block into a staged bucket array first (worker arena
-  // when threaded, reused thread-local otherwise), then run the CSR append
-  // as its own tight loop. Identical buckets to eval_batch.
-  std::span<std::int32_t> buckets;
-  thread_local std::vector<std::int32_t> fallback;
-  if (ctx.arena != nullptr) {
-    buckets = ctx.arena->make_span<std::int32_t>(keys.size());
-  } else {
-    fallback.resize(keys.size());
-    buckets = fallback;
-  }
+  // Hash the whole block into a bucket array staged in the entry's arena,
+  // then run the CSR append as its own tight loop. Identical buckets to
+  // eval_batch.
+  const std::span<std::int32_t> buckets =
+      ctx.arena.make_span<std::int32_t>(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i) {
     buckets[i] = bucket_of(keys[i]);
   }

@@ -19,8 +19,6 @@ class OneHotHashOp final : public Operator, public SparseBlockEmitter {
 
   std::string name() const override { return label_; }
   data::Value eval_batch(std::span<const data::Value> inputs) const override;
-  data::CsrMatrix emit_batch(std::span<const data::Value> inputs,
-                             const BlockExecContext& ctx) const override;
   void emit_into(std::span<const data::Value> inputs,
                  const BlockExecContext& ctx,
                  data::CsrMatrix& out) const override;

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 
 #include "common/arena.hpp"
 #include "core/executors.hpp"
@@ -107,13 +108,20 @@ TEST(ExecScratch, BeginResetsBindingsAndArenaButKeepsCapacity) {
 }
 
 TEST(ExecScratch, RequestScratchGateTogglesProcessWide) {
-  core::set_request_scratch_enabled(false);
-  EXPECT_EQ(core::request_scratch(), nullptr);
-  core::set_request_scratch_enabled(true);
   core::ExecScratch* sc = core::request_scratch();
   ASSERT_NE(sc, nullptr);
-  // thread_local: the same thread sees the same instance.
+  // thread_local: the same thread sees the same instance...
   EXPECT_EQ(core::request_scratch(), sc);
+  // ...and a second thread its own (compared while that thread is alive).
+  bool other_null = true;
+  bool other_same = true;
+  std::thread([&] {
+    core::ExecScratch* other = core::request_scratch();
+    other_null = other == nullptr;
+    other_same = other == sc;
+  }).join();
+  EXPECT_FALSE(other_null);
+  EXPECT_FALSE(other_same);
 }
 
 }  // namespace

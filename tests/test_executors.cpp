@@ -207,13 +207,15 @@ TEST(Executors, DriverOverheadIsSmallFraction) {
 TEST(Executors, ProfilerRecordsPerNodeCosts) {
   Graph g = make_graph();
   CompiledExecutor ex(g, analyze_ifvs(g));
-  runtime::Profiler prof;
+  DriverStats drivers;
   ExecOptions opts;
-  opts.profiler = &prof;
+  opts.drivers = &drivers;
   (void)ex.compute_blocks(make_batch(), opts);
   // Every generator output node has a recorded time.
   for (const auto& fg : ex.analysis().generators) {
-    EXPECT_GT(prof.calls(fg.output_node), 0u);
+    const auto node = static_cast<std::size_t>(fg.output_node);
+    ASSERT_LT(node, drivers.node_seconds.size());
+    EXPECT_GT(drivers.node_seconds[node], 0.0);
   }
 }
 
@@ -318,6 +320,9 @@ std::vector<workloads::Workload> small_workloads() {
 }
 
 TEST(Executors, CompiledMatchesInterpretedOracleOnWorkloadGraphs) {
+  // One scratch reused across every graph in sequence: slots left stale by
+  // a larger batch, a wider mask or another graph must never reach a result.
+  ExecScratch reused;
   for (const auto& wl : small_workloads()) {
     SCOPED_TRACE(wl.name);
     const Graph& g = wl.pipeline.graph;
@@ -337,6 +342,20 @@ TEST(Executors, CompiledMatchesInterpretedOracleOnWorkloadGraphs) {
     expect_bit_equal(
         compiled.assemble(compiled.compute_blocks(batch, full), full.fg_mask),
         ref);
+
+    // The reused scratch: the full batch, then one row, then every
+    // generator but the first.
+    expect_bit_equal(compiled.compute_matrix_into(batch, reused, full), ref);
+    const data::Batch one = batch.row(0);
+    expect_bit_equal(compiled.compute_matrix_into(one, reused, full),
+                     oracle.compute_matrix(one, full));
+    ASSERT_GE(compiled.analysis().num_generators(), 2u);
+    ExecOptions partial = full;
+    partial.fg_mask[0] = false;
+    oracle.restore_layout(compiled.analysis().block_cols,
+                          compiled.analysis().col_begin);  // for the post-chain
+    expect_bit_equal(compiled.compute_matrix_into(batch, reused, partial),
+                     oracle.compute_matrix(batch, partial));
   }
 }
 

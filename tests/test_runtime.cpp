@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "runtime/boxed.hpp"
-#include "runtime/profiler.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace willump::runtime {
@@ -99,19 +98,6 @@ TEST(Boxed, NamespaceLookup) {
   EXPECT_TRUE(ns.has("x"));
   EXPECT_EQ(std::get<std::int64_t>(ns.get("x")->payload), 42);
   EXPECT_THROW(ns.get("missing"), std::out_of_range);
-}
-
-TEST(Profiler, AccumulatesPerNode) {
-  Profiler p;
-  p.record(3, 0.5);
-  p.record(3, 0.25);
-  p.record(7, 1.0);
-  EXPECT_DOUBLE_EQ(p.total_seconds(3), 0.75);
-  EXPECT_EQ(p.calls(3), 2u);
-  EXPECT_DOUBLE_EQ(p.total_seconds(99), 0.0);
-  EXPECT_EQ(p.totals().size(), 2u);
-  p.clear();
-  EXPECT_DOUBLE_EQ(p.total_seconds(3), 0.0);
 }
 
 }  // namespace
